@@ -33,7 +33,7 @@
 //!
 //! Clients are well-behaved: 429s honor the server's `Retry-After` and
 //! transport errors reconnect with jittered exponential backoff (see
-//! `bench::retry`); retries are reported separately from drops.
+//! `gem5prof_served::retry`); retries are reported separately from drops.
 //!
 //! `--open-loop --connections N` switches to the connection-scaling
 //! mode: one thread drives `N` concurrent keep-alive connections
@@ -50,11 +50,11 @@
 //! Prometheus `histogram_quantile` over the server's own request-path
 //! histograms would give.
 
-use bench::retry::{request_with_retry, RetryPolicy};
 use gem5prof_obs::metrics::duration_buckets;
 use gem5prof_obs::HistogramSnapshot;
 use gem5prof_served::http::{one_shot, ClientConn};
 use gem5prof_served::minjson::{self, Json};
+use gem5prof_served::retry::{request_with_retry, RetryPolicy};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

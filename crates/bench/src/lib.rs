@@ -8,7 +8,6 @@ use gem5sim::config::{CpuModel, SimMode};
 use gem5sim_workloads::{Scale, Workload};
 
 pub mod harness;
-pub mod retry;
 pub mod soak;
 
 /// A tiny guest spec for microbenchmarks.

@@ -16,10 +16,10 @@
 //! Violations are collected, not panicked, so the `soak` binary can
 //! print a one-line reproduction command for the failing seed.
 
-use crate::retry::{self, RetryPolicy};
 use gem5prof_chaos::{self as chaos, Plan, PointReport};
 use gem5prof_served::cluster::{serve_cluster, ClusterConfig, MemberSpec};
 use gem5prof_served::minjson::{self, Json};
+use gem5prof_served::retry::{self, RetryPolicy};
 use gem5prof_served::{serve, ServeConfig, ServerHandle};
 use std::collections::BTreeMap;
 use std::sync::mpsc;

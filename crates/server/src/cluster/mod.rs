@@ -47,8 +47,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Idle keep-alive timeout for router-side connections.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Pooled keep-alive connections kept per member.
 const POOL_CAP: usize = 8;
 /// Distinguishes concurrent routers (e.g. under soak) in `/metrics`.
@@ -119,7 +117,7 @@ impl Default for ClusterConfig {
             io_timeout: Duration::from_secs(35),
             max_conns: 4096,
             forward_threads: 32,
-            read_timeout: IDLE_TIMEOUT,
+            read_timeout: crate::IDLE_TIMEOUT,
             write_timeout: Duration::from_secs(10),
         }
     }
@@ -652,9 +650,9 @@ impl core::Service for RouterService {
         self.cluster.requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    // The router has never kept response books (nodes count their own
-    // outcomes); parse errors likewise go uncounted, matching the old
-    // blocking loop which only counted parsed requests.
+    // The router keeps no response books (nodes count their own
+    // outcomes), and its request counter counts only parsed requests,
+    // so parse errors go uncounted.
     fn count_response(&self, _status: u16) {}
 
     fn count_parse_error(&self) {}

@@ -1,36 +1,32 @@
 //! The nonblocking readiness core: one poller thread driving every
 //! connection through a read → parse → route → write state machine.
 //!
-//! This replaces thread-per-connection serving (ROADMAP item 3): the
-//! old model capped concurrency at OS thread count and let one slow
-//! reader pin a thread through a multi-second compute. Here a single
-//! thread owns all sockets via [`crate::poll::Poller`] (epoll on
-//! Linux, `poll(2)` elsewhere); blocking work stays on threads —
-//! the engine's worker pool for computes, a small offload pool for
-//! cluster forwards — and completed results re-enter the loop through
-//! a self-wake pipe.
+//! A single thread owns all sockets via [`crate::poll::Poller`] (epoll
+//! on Linux, `poll(2)` elsewhere), so concurrency is not capped by OS
+//! thread count and a slow reader never pins a thread through a
+//! multi-second compute. Blocking work stays on threads — the engine's
+//! worker pool for computes, a small offload pool for cluster forwards
+//! — and completed results re-enter the loop through a self-wake pipe.
 //!
-//! Per-connection guarantees the blocking core could not make:
+//! Per-connection guarantees:
 //!
 //! * a **read deadline** armed when the connection goes idle and *not*
 //!   extended by partial request bytes, so a slow-loris drip-feeding
 //!   headers is disconnected on schedule;
 //! * a **write deadline** extended only by actual write progress, so a
-//!   client that stops reading mid-response is disconnected instead of
-//!   wedging a thread forever (the old `set_write_timeout` gap);
+//!   client that stops reading mid-response is disconnected;
 //! * a **connection cap**: accepts beyond `max_conns` get an immediate
-//!   canned 503 + `Retry-After` instead of an unbounded thread;
+//!   canned 503 + `Retry-After`;
 //! * **accept-error backoff**: accept failures (EMFILE and friends)
-//!   back off exponentially and are counted, instead of a hot 10ms
-//!   retry loop.
+//!   back off exponentially and are counted, instead of a hot retry
+//!   loop.
 //!
 //! Accounting is exactly-once by construction: every parsed request
 //! produces exactly one `count_response` — at response queue time for
-//! replies (delivery failures don't un-count, matching the blocking
-//! core), or as status `0` ("other") when a connection dies while its
-//! compute is still pending. Saturation 503s are *not* counted in the
-//! request/response balance: no request was ever parsed on those
-//! connections.
+//! replies (delivery failures don't un-count), or as status `0`
+//! ("other") when a connection dies while its compute is still
+//! pending. Saturation 503s are *not* counted in the request/response
+//! balance: no request was ever parsed on those connections.
 
 use crate::http::{self, ParseStatus, Request};
 use crate::poll::{self, Poller, WakePipe, Waker};
@@ -103,7 +99,7 @@ pub(crate) trait Service: Send + Sync + 'static {
     fn count_response(&self, status: u16);
     /// A malformed request (answered 400 by the core). Counting is
     /// service-specific: the experiment server counts request+400, the
-    /// router historically counts neither.
+    /// router, which counts only parsed requests, counts neither.
     fn count_parse_error(&self);
     /// Drain flag; once true the core stops accepting and unwinds.
     fn draining(&self) -> bool;
@@ -327,10 +323,10 @@ pub(crate) fn spawn(
             let rx = Arc::clone(&rx);
             let completions = Arc::clone(&completions);
             let waker = pipe.waker();
-            // Detached, like the old per-connection threads: they exit
-            // when the core drops the sender; a straggler finishing a
-            // forward after the core died pushes into a list nobody
-            // reads and wakes a closed pipe, both harmless.
+            // Detached: they exit when the core drops the sender; a
+            // straggler finishing a forward after the core died pushes
+            // into a list nobody reads and wakes a closed pipe, both
+            // harmless.
             let _ = std::thread::Builder::new()
                 .name(format!("{}-offload-{i}", cfg.name))
                 .spawn(move || loop {
@@ -544,10 +540,10 @@ impl Core {
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(_) => {
-                    // EMFILE and friends: hammering accept() again in
-                    // 10ms (the old behavior) just spins. Back off
-                    // exponentially and deregister the listener so the
-                    // level-triggered poller doesn't spin on it either.
+                    // EMFILE and friends: retrying accept() at once just
+                    // spins. Back off exponentially and deregister the
+                    // listener so the level-triggered poller doesn't
+                    // spin on it either.
                     self.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
                     self.accept_streak += 1;
                     let pause = (1u64 << self.accept_streak.min(10)).min(1000);
@@ -722,11 +718,11 @@ impl Core {
                 }
                 break;
             }
-            // Wire-read chaos, once per request attempt — the same
-            // point the blocking reader injected at entry.
+            // Wire-read chaos, once per request attempt, before any
+            // of its bytes are parsed.
             if !c.chaos_read_visited {
                 c.chaos_read_visited = true;
-                if chaos::io_error("http.read").is_some() {
+                if chaos::inject("http.read") {
                     if self.service.recover_wire_chaos() {
                         chaos::recovered("http.read");
                     }
@@ -905,8 +901,8 @@ impl Core {
                     )),
                     Err(TryRecvError::Empty) => {
                         if now >= p.deadline {
-                            // Dropping the rx matches `recv_timeout`
-                            // expiry: the eventual result still warms
+                            // Dropping the rx abandons only this
+                            // waiter: the eventual result still warms
                             // the cache for the next requester.
                             PendingAction::Resolve((
                                 504,
@@ -993,7 +989,7 @@ impl Core {
 
     /// Queues one complete response (head + body) and starts flushing.
     /// The caller has already counted the outcome; a later delivery
-    /// failure does not un-count it (same as the blocking core).
+    /// failure does not un-count it.
     fn queue_response(
         &mut self,
         token: u64,
@@ -1003,8 +999,7 @@ impl Core {
         close: bool,
     ) {
         // Torn-write chaos: head plus half the body go out, then the
-        // connection drops — the wire-level fault the blocking
-        // `write_response` injected.
+        // connection drops, so the client must detect the truncation.
         let torn = chaos::inject("http.torn_write");
         let now = Instant::now();
         let c = match self.conns.get_mut(&token) {
@@ -1110,8 +1105,7 @@ impl Core {
         if c.pending.take().is_some() {
             // A parsed request whose compute will never reach the
             // wire: count it as "other" so every request still has
-            // exactly one outcome (the blocking core's
-            // `server.conn_drop` convention).
+            // exactly one outcome (the `server.conn_drop` convention).
             self.service.count_response(0);
         }
         if c.torn && self.service.recover_wire_chaos() {
@@ -1127,7 +1121,7 @@ impl Core {
         self.drain_started = Some(Instant::now());
         self.deregister_listener();
         // Dropping the listener closes the port: new connects are
-        // refused at the kernel, same as the old acceptor exiting.
+        // refused at the kernel.
         self.listener = None;
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
@@ -1276,15 +1270,25 @@ mod tests {
     #[test]
     fn malformed_request_gets_a_400_and_closes() {
         let (addr, service, mut handle) = start(8);
-        let mut s = std::net::TcpStream::connect(addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
-        s.write_all(b"BOGUS\r\n\r\n").expect("write");
-        let mut raw = String::new();
-        s.read_to_string(&mut raw).expect("read");
-        assert!(raw.starts_with("HTTP/1.1 400"), "got: {raw:?}");
+        let inputs: [&[u8]; 2] = [
+            b"BOGUS\r\n\r\n",
+            // A chunked body read as a second request would be
+            // smuggled past the first: one request, one 400, closed.
+            b"POST /peers HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n",
+        ];
+        for (i, input) in inputs.iter().enumerate() {
+            let mut s = std::net::TcpStream::connect(addr).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout");
+            s.write_all(input).expect("write");
+            let mut raw = String::new();
+            s.read_to_string(&mut raw).expect("read");
+            assert!(raw.starts_with("HTTP/1.1 400"), "got: {raw:?}");
+            assert_eq!(raw.matches("HTTP/1.1 ").count(), 1, "got: {raw:?}");
+            assert_eq!(service.requests.load(Ordering::Relaxed), i as u64 + 1);
+        }
         stop(&service, &mut handle);
-        assert_eq!(service.requests.load(Ordering::Relaxed), 1);
-        assert_eq!(service.responses.load(Ordering::Relaxed), 1);
+        assert_eq!(service.requests.load(Ordering::Relaxed), 2);
+        assert_eq!(service.responses.load(Ordering::Relaxed), 2);
     }
 }

@@ -395,8 +395,8 @@ pub(crate) struct Engine {
     metrics: EngineMetrics,
     /// Completion hook for the readiness core: called whenever a job
     /// finishes (any outcome) so the poller re-checks pending
-    /// receivers instead of blocking in `recv_timeout`. `None` under
-    /// the legacy thread-per-connection path.
+    /// receivers promptly. `None` until `serve` has spawned the core
+    /// (engine unit tests, which block on the receiver, never set it).
     waker: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 

@@ -1,23 +1,19 @@
 //! A deliberately small HTTP/1.1 implementation over std TCP.
 //!
-//! Server side: [`read_request`] parses one request from a buffered
-//! stream (with hard limits on line length, header count and body size)
-//! and [`write_response`] emits a `Content-Length`-framed response.
-//! Client side: [`ClientConn`] is a keep-alive connection used by
-//! `servectl`, `loadgen` and the integration tests.
+//! Server side: the readiness core parses requests incrementally from
+//! its per-connection buffers with [`try_parse_request`] (hard limits
+//! on line length, header count and body size) and frames responses
+//! with [`response_head`]. Client side: [`ClientConn`] is a keep-alive
+//! connection used by `servectl`, `loadgen` and the integration tests.
 //!
 //! Only what the serving layer needs is implemented: no multipart, no
-//! TLS. Responses carry an explicit `Content-Length`, except streamed
-//! progress responses which use `Transfer-Encoding: chunked` (the one
-//! place the readiness core emits a body of unknown length).
-//!
-//! The readiness-loop core parses requests incrementally from its
-//! per-connection buffers via [`try_parse_request`]; the blocking
-//! [`read_request`] form remains for the thread-per-connection
-//! baseline (`--thread-per-conn`) and tests. Both share the same
-//! validation rules and limits.
+//! TLS. Request bodies are framed by `Content-Length` alone; a request
+//! carrying `Transfer-Encoding` is rejected, so no body can be read as
+//! a second, smuggled request. Responses carry an explicit
+//! `Content-Length`, except streamed progress responses which use
+//! `Transfer-Encoding: chunked` (the one place the readiness core
+//! emits a body of unknown length).
 
-use gem5prof_chaos as chaos;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -68,8 +64,8 @@ impl Request {
     }
 }
 
-/// Reads one line terminated by `\r\n` (tolerating bare `\n`), bounded
-/// by [`MAX_LINE`].
+/// Reads one response line terminated by `\r\n` (tolerating bare
+/// `\n`), bounded by [`MAX_LINE`].
 fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut buf = Vec::new();
     loop {
@@ -103,112 +99,6 @@ fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
             Err(e) => return Err(e),
         }
     }
-}
-
-/// Parses one request. `Ok(None)` means the peer closed the connection
-/// cleanly before sending another request; `Err(InvalidData)` means the
-/// bytes were not a well-formed request (the caller should answer 400
-/// and close).
-pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
-    if let Some(e) = chaos::io_error("http.read") {
-        return Err(e);
-    }
-    let line = match read_line(r)? {
-        None => return Ok(None),
-        Some(l) => l,
-    };
-    let mut parts = line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) if !m.is_empty() && t.starts_with('/') => (m, t, v),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed request line `{line}`"),
-            ))
-        }
-    };
-    if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unsupported HTTP version",
-        ));
-    }
-
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(r)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF inside headers"))?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "too many headers",
-            ));
-        }
-        let (k, v) = line
-            .split_once(':')
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed header line"))?;
-        headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
-    }
-
-    // Duplicate `Content-Length` headers are a request-smuggling vector:
-    // reject outright instead of silently trusting the first one.
-    if headers
-        .iter()
-        .filter(|(k, _)| k == "content-length")
-        .count()
-        > 1
-    {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "duplicate Content-Length headers",
-        ));
-    }
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if content_length > MAX_BODY {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    if content_length > 0 && chaos::inject("http.short_read") {
-        // A peer that dies mid-body: consume part of it, then fail the
-        // read the way a closed socket would.
-        let mut partial = vec![0u8; content_length / 2];
-        r.read_exact(&mut partial)?;
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "chaos: short body read",
-        ));
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-
-    let close = headers
-        .iter()
-        .find(|(k, _)| k == "connection")
-        .map(|(_, v)| v.eq_ignore_ascii_case("close"))
-        .unwrap_or(version == "HTTP/1.0");
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), Some(q.to_string())),
-        None => (target.to_string(), None),
-    };
-
-    Ok(Some(Request {
-        method: method.to_ascii_uppercase(),
-        path,
-        query,
-        headers,
-        body,
-        close,
-    }))
 }
 
 /// Progress of [`try_parse_request`] over a byte buffer.
@@ -255,11 +145,10 @@ fn take_line(buf: &[u8], pos: &mut usize) -> io::Result<Option<String>> {
     }
 }
 
-/// Incremental form of [`read_request`]: parses one request from the
-/// front of `buf` without consuming it (the caller drains `consumed`
-/// bytes on `Complete`). Validation — limits, malformed lines,
-/// duplicate `Content-Length` — matches `read_request` exactly;
-/// errors are detected as early as the bytes allow.
+/// Parses one request from the front of `buf` without consuming it
+/// (the caller drains `consumed` bytes on `Complete`). Errors are
+/// detected as early as the bytes allow and are all `InvalidData`: the
+/// caller answers 400 and closes.
 pub(crate) fn try_parse_request(buf: &[u8]) -> io::Result<ParseStatus> {
     let mut pos = 0usize;
     let line = match take_line(buf, &mut pos)? {
@@ -312,26 +201,7 @@ pub(crate) fn try_parse_request(buf: &[u8]) -> io::Result<ParseStatus> {
         headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
     }
 
-    if headers
-        .iter()
-        .filter(|(k, _)| k == "content-length")
-        .count()
-        > 1
-    {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "duplicate Content-Length headers",
-        ));
-    }
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    let content_length = content_length(&headers)?;
     if content_length > MAX_BODY {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
     }
@@ -365,6 +235,28 @@ pub(crate) fn try_parse_request(buf: &[u8]) -> io::Result<ParseStatus> {
     })
 }
 
+/// The request body length, from the one `Content-Length` header (0
+/// without one). Framing ambiguity is a request-smuggling vector, so
+/// any `Transfer-Encoding`, a duplicate `Content-Length`, or a length
+/// that is not plain ASCII digits (`+2` would pass `usize::from_str`)
+/// is rejected.
+fn content_length(headers: &[(String, String)]) -> io::Result<usize> {
+    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(invalid("Transfer-Encoding is not supported"));
+    }
+    let mut lengths = headers.iter().filter(|(k, _)| k == "content-length");
+    let len = match (lengths.next(), lengths.next()) {
+        (None, _) => return Ok(0),
+        (Some(_), Some(_)) => return Err(invalid("duplicate Content-Length headers")),
+        (Some((_, v)), None) => v,
+    };
+    if len.is_empty() || !len.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(invalid("bad Content-Length"));
+    }
+    len.parse().map_err(|_| invalid("bad Content-Length"))
+}
+
 /// Reason phrase for the status codes this server emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -380,40 +272,13 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete `Content-Length`-framed response.
+/// Renders a response head. `body_len: Some(n)` frames with
+/// `Content-Length`; `None` frames with `Transfer-Encoding: chunked`
+/// (streamed progress responses).
 ///
 /// The content type defaults to `application/json`; an extra header
 /// named `content-type` overrides it (used by the Prometheus `/metrics`
 /// exposition, which is plain text).
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    body: &[u8],
-    extra_headers: &[(String, String)],
-    close: bool,
-) -> io::Result<()> {
-    let head = response_head(status, Some(body.len()), extra_headers, close);
-    if chaos::inject("http.torn_write") {
-        // A torn response: full header (advertising the real length) but
-        // only half the body, then the connection errors out. The client
-        // must detect the truncation, not hang on it.
-        w.write_all(head.as_bytes())?;
-        w.write_all(&body[..body.len() / 2])?;
-        let _ = w.flush();
-        return Err(io::Error::new(
-            io::ErrorKind::BrokenPipe,
-            "chaos: torn response write",
-        ));
-    }
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
-    w.flush()
-}
-
-/// Renders a response head. `body_len: Some(n)` frames with
-/// `Content-Length`; `None` frames with `Transfer-Encoding: chunked`
-/// (streamed progress responses). Header order matches what
-/// [`write_response`] has always emitted.
 pub(crate) fn response_head(
     status: u16,
     body_len: Option<usize>,
@@ -633,12 +498,24 @@ pub fn one_shot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use testkit::{prop_assert, prop_assert_eq, run_cases, Gen};
+
+    /// Parses `raw` as exactly one complete request.
+    fn parse_one(raw: &[u8]) -> Request {
+        match try_parse_request(raw).unwrap() {
+            ParseStatus::Complete { req, consumed } => {
+                assert_eq!(consumed, raw.len(), "{raw:?}");
+                req
+            }
+            ParseStatus::Partial { .. } => panic!("incomplete request: {raw:?}"),
+        }
+    }
 
     #[test]
     fn parses_a_request_with_body_and_query() {
-        let raw = b"POST /experiments?x=1&y=2 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nabcd";
-        let req = read_request(&mut Cursor::new(&raw[..])).unwrap().unwrap();
+        let req = parse_one(
+            b"POST /experiments?x=1&y=2 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nabcd",
+        );
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/experiments");
         assert_eq!(req.query_param("y"), Some("2"));
@@ -649,8 +526,7 @@ mod tests {
 
     #[test]
     fn bare_query_keys_are_flag_parameters() {
-        let raw = b"GET /x?quick&depth=3 HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut Cursor::new(&raw[..])).unwrap().unwrap();
+        let req = parse_one(b"GET /x?quick&depth=3 HTTP/1.1\r\n\r\n");
         assert_eq!(req.query_param("quick"), Some(""));
         assert_eq!(req.query_param("depth"), Some("3"));
         assert_eq!(req.query_param("missing"), None);
@@ -659,14 +535,21 @@ mod tests {
     #[test]
     fn duplicate_content_length_is_rejected() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
-        let err = read_request(&mut Cursor::new(&raw[..])).unwrap_err();
+        let err = try_parse_request(raw).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("duplicate Content-Length"));
     }
 
     #[test]
     fn eof_between_requests_is_clean() {
-        assert!(read_request(&mut Cursor::new(&b""[..])).unwrap().is_none());
+        // An empty buffer is a connection idle between requests: no
+        // request started, no body outstanding.
+        assert!(matches!(
+            try_parse_request(b""),
+            Ok(ParseStatus::Partial {
+                body_expected: false
+            })
+        ));
     }
 
     #[test]
@@ -677,42 +560,28 @@ mod tests {
             &b"GET noslash HTTP/1.1\r\n\r\n"[..],
             &b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n"[..],
             &b"GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n"[..],
+            // `usize::from_str` takes a leading `+`; the framing must not.
+            &b"POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\nab"[..],
+            // Ignoring Transfer-Encoding would serve this body as a
+            // second, smuggled request.
+            &b"POST /peers HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n"
+                [..],
         ] {
-            let err = read_request(&mut Cursor::new(raw)).unwrap_err();
+            let err = try_parse_request(raw).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{raw:?}");
         }
     }
 
     #[test]
     fn connection_close_and_http10_are_detected() {
-        let raw = b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n";
-        assert!(
-            read_request(&mut Cursor::new(&raw[..]))
-                .unwrap()
-                .unwrap()
-                .close
-        );
-        let raw = b"GET /x HTTP/1.0\r\n\r\n";
-        assert!(
-            read_request(&mut Cursor::new(&raw[..]))
-                .unwrap()
-                .unwrap()
-                .close
-        );
+        assert!(parse_one(b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n").close);
+        assert!(parse_one(b"GET /x HTTP/1.0\r\n\r\n").close);
     }
 
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
-            429,
-            b"{}",
-            &[("retry-after".into(), "1".into())],
-            false,
-        )
-        .unwrap();
-        let s = String::from_utf8(out).unwrap();
+        let head = response_head(429, Some(2), &[("retry-after".into(), "1".into())], false);
+        let s = head + "{}";
         assert!(s.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(s.contains("content-type: application/json\r\n"));
         assert!(s.contains("content-length: 2\r\n"));
@@ -720,37 +589,176 @@ mod tests {
         assert!(s.ends_with("\r\n\r\n{}"));
     }
 
-    #[test]
-    fn incremental_parser_agrees_with_blocking_parser() {
-        let corpus: &[&[u8]] = &[
-            b"POST /experiments?x=1&y=2 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nabcd",
-            b"GET /x?quick&depth=3 HTTP/1.1\r\n\r\n",
-            b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n",
-            b"GET /x HTTP/1.0\r\n\r\n",
-            b"GARBAGE\r\n\r\n",
-            b"GET /x HTTP/2.0\r\n\r\n",
-            b"GET noslash HTTP/1.1\r\n\r\n",
-            b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n",
-            b"GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd",
-        ];
-        for raw in corpus {
-            let blocking = read_request(&mut Cursor::new(*raw));
-            let incremental = try_parse_request(raw);
-            match (blocking, incremental) {
-                (Ok(Some(a)), Ok(ParseStatus::Complete { req: b, consumed })) => {
-                    assert_eq!(a.method, b.method, "{raw:?}");
-                    assert_eq!(a.path, b.path);
-                    assert_eq!(a.query, b.query);
-                    assert_eq!(a.headers, b.headers);
-                    assert_eq!(a.body, b.body);
-                    assert_eq!(a.close, b.close);
-                    assert_eq!(consumed, raw.len(), "{raw:?}");
-                }
-                (Err(a), Err(b)) => assert_eq!(a.kind(), b.kind(), "{raw:?}"),
-                (a, b) => panic!("parsers disagree on {raw:?}: {a:?} vs {b:?}"),
-            }
+    /// One generated valid request: its wire bytes plus the fields the
+    /// parser must recover from them.
+    struct Generated {
+        raw: Vec<u8>,
+        /// Bytes up to and including the blank line that ends the head.
+        head_len: usize,
+        method: String,
+        path: String,
+        query: Option<String>,
+        headers: Vec<(String, String)>,
+        body: Vec<u8>,
+        close: bool,
+    }
+
+    fn text(g: &mut Gen, alphabet: &[u8], len: std::ops::Range<usize>) -> String {
+        g.vec(len, |g| *g.pick(alphabet) as char)
+            .into_iter()
+            .collect()
+    }
+
+    /// `s` with each ASCII letter's case flipped at random.
+    fn any_case(g: &mut Gen, s: &str) -> String {
+        s.chars()
+            .map(|c| if g.bool() { c.to_ascii_uppercase() } else { c })
+            .collect()
+    }
+
+    /// A valid request: random method, path, query and version, 0–8
+    /// headers (framing and `Connection` among them at random
+    /// positions), a 0–64 B body, and random CRLF / bare-LF line ends.
+    fn gen_request(g: &mut Gen) -> Generated {
+        const PATH: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_-.";
+        const NAME: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-";
+        const VALUE: &[u8] = b"azAZ09 !\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~";
+        let method = *g.pick(&["get", "post", "put", "delete", "head", "patch"]);
+        let path: String = g
+            .vec(1..4, |g| format!("/{}", text(g, PATH, 0..8)))
+            .concat();
+        let query = g.bool().then(|| text(g, b"abxyz09=&?", 0..16));
+        let version = *g.pick(&["HTTP/1.1", "HTTP/1.0"]);
+        let body: Vec<u8> = g.vec(0..65, |g| g.next_u64() as u8);
+
+        let mut special = Vec::new();
+        if !body.is_empty() || g.bool() {
+            special.push((any_case(g, "content-length"), body.len().to_string()));
         }
+        let connection = g
+            .bool()
+            .then(|| g.pick(&["close", "Close", "keep-alive"]).to_string());
+        if let Some(v) = &connection {
+            special.push((any_case(g, "connection"), v.clone()));
+        }
+        let extra = g.usize_in(0..9).saturating_sub(special.len());
+        let mut wire: Vec<(String, String)> = (0..extra)
+            .map(|_| (format!("x-{}", text(g, NAME, 1..10)), text(g, VALUE, 0..20)))
+            .collect();
+        for h in special {
+            let at = g.usize_in(0..wire.len() + 1);
+            wire.insert(at, h);
+        }
+
+        let mut raw = Vec::new();
+        let eol = |g: &mut Gen, raw: &mut Vec<u8>| {
+            raw.extend_from_slice(if g.bool() { &b"\r\n"[..] } else { b"\n" })
+        };
+        let target = match &query {
+            Some(q) => format!("{path}?{q}"),
+            None => path.clone(),
+        };
+        raw.extend_from_slice(format!("{} {target} {version}", any_case(g, method)).as_bytes());
+        eol(g, &mut raw);
+        for (k, v) in &wire {
+            let ows = *g.pick(&["", " ", "  "]);
+            raw.extend_from_slice(format!("{k}:{ows}{v}{ows}").as_bytes());
+            eol(g, &mut raw);
+        }
+        eol(g, &mut raw);
+        let head_len = raw.len();
+        raw.extend_from_slice(&body);
+
+        Generated {
+            raw,
+            head_len,
+            method: method.to_ascii_uppercase(),
+            path,
+            query,
+            headers: wire
+                .iter()
+                .map(|(k, v)| (k.to_ascii_lowercase(), v.trim().to_string()))
+                .collect(),
+            body,
+            close: match &connection {
+                Some(v) => v.eq_ignore_ascii_case("close"),
+                None => version == "HTTP/1.0",
+            },
+        }
+    }
+
+    #[test]
+    fn generated_requests_parse_at_every_split() {
+        run_cases("http_generated_requests", 10_000, |g| {
+            let want = gen_request(g);
+            let first = want.raw.len();
+            let mut buf = want.raw.clone();
+            if g.bool() {
+                buf.extend_from_slice(&gen_request(g).raw);
+            }
+            for cut in 0..first {
+                match try_parse_request(&buf[..cut]) {
+                    Ok(ParseStatus::Partial { body_expected }) => {
+                        prop_assert_eq!(body_expected, cut >= want.head_len)
+                    }
+                    other => return Err(format!("prefix {cut}/{first}: {other:?}")),
+                }
+            }
+            let (req, consumed) = match try_parse_request(&buf) {
+                Ok(ParseStatus::Complete { req, consumed }) => (req, consumed),
+                other => return Err(format!("{:?}: {other:?}", String::from_utf8_lossy(&buf))),
+            };
+            prop_assert_eq!(consumed, first);
+            prop_assert_eq!(req.method, want.method);
+            prop_assert_eq!(req.path, want.path);
+            prop_assert_eq!(req.query, want.query);
+            prop_assert_eq!(req.headers, want.headers);
+            prop_assert_eq!(req.body, want.body);
+            prop_assert_eq!(req.close, want.close);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_parser() {
+        run_cases("http_arbitrary_bytes", 10_000, |g| {
+            let raw: Vec<u8> = if g.bool() {
+                g.vec(0..256, |g| {
+                    if g.bool() {
+                        *g.pick(b" :/?\r\n+-0123456789")
+                    } else {
+                        g.next_u64() as u8
+                    }
+                })
+            } else {
+                // A valid request with a few bytes overwritten, inserted
+                // or deleted: malformed in the places that matter.
+                let mut raw = gen_request(g).raw;
+                for _ in 0..g.usize_in(1..5) {
+                    let at = g.usize_in(0..raw.len());
+                    match g.usize_in(0..3) {
+                        0 => raw[at] = g.next_u64() as u8,
+                        1 => raw.insert(at, *g.pick(b" :\r\n+-0")),
+                        _ => {
+                            raw.remove(at);
+                        }
+                    }
+                }
+                raw
+            };
+            match std::panic::catch_unwind(|| try_parse_request(&raw)) {
+                Ok(Ok(ParseStatus::Complete { consumed, .. })) => {
+                    prop_assert!(
+                        consumed <= raw.len(),
+                        "consumed {consumed} of {}",
+                        raw.len()
+                    )
+                }
+                Ok(_) => {}
+                Err(_) => return Err(format!("panicked on {raw:?}")),
+            }
+            Ok(())
+        });
     }
 
     #[test]
@@ -807,16 +815,12 @@ mod tests {
 
     #[test]
     fn content_type_header_overrides_default() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
+        let s = response_head(
             200,
-            b"x 1\n",
+            Some(4),
             &[("content-type".into(), "text/plain; version=0.0.4".into())],
             false,
-        )
-        .unwrap();
-        let s = String::from_utf8(out).unwrap();
+        );
         assert!(s.contains("content-type: text/plain; version=0.0.4\r\n"));
         assert!(
             !s.contains("application/json"),

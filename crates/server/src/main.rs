@@ -7,7 +7,7 @@
 //!                 [--port-file PATH] [--node-id ID] [--peers A,B,...]
 //!                 [--profile-dir PATH] [--profile-cap N]
 //!                 [--max-conns N] [--read-timeout-ms N]
-//!                 [--write-timeout-ms N] [--thread-per-conn] [--sndbuf BYTES]
+//!                 [--write-timeout-ms N] [--sndbuf BYTES]
 //! ```
 //!
 //! `--addr 127.0.0.1:0` binds an ephemeral port; `--port-file` writes
@@ -60,8 +60,7 @@ fn usage() -> ! {
          [--no-coalesce] [--worker-delay-ms N] [--port-file PATH] \
          [--node-id ID] [--peers HOST:PORT,HOST:PORT,...] \
          [--profile-dir PATH] [--profile-cap N] [--max-conns N] \
-         [--read-timeout-ms N] [--write-timeout-ms N] [--thread-per-conn] \
-         [--sndbuf BYTES]"
+         [--read-timeout-ms N] [--write-timeout-ms N] [--sndbuf BYTES]"
     );
     std::process::exit(2);
 }
@@ -104,12 +103,6 @@ fn main() {
             }
             "--write-timeout-ms" => {
                 cfg.write_timeout = Duration::from_millis(parse_usize(i).max(1) as u64)
-            }
-            "--thread-per-conn" => {
-                // Benchmark baseline only: the pre-readiness-core
-                // blocking serving loop, one OS thread per connection.
-                cfg.thread_per_conn = true;
-                step = 1;
             }
             "--sndbuf" => cfg.sndbuf = Some(parse_usize(i).max(1)),
             "--profile-dir" => cfg.profile_dir = Some(value(i).into()),

@@ -21,10 +21,9 @@
 //! Jitter is deterministic (seeded splitmix64 over the attempt index),
 //! matching the repository-wide rule that test traffic must replay.
 //!
-//! This module lives in the server crate (rather than `bench`, its
-//! original home) so the serving layer itself — the cluster router and
-//! the engine's peer fetch — can reuse it; `bench::retry` re-exports it
-//! unchanged for the client binaries.
+//! This module lives in the server crate so the serving layer itself —
+//! the cluster router and the engine's peer fetch — shares it with the
+//! client binaries in `bench`.
 
 use crate::http::ClientConn;
 use std::io;
@@ -123,7 +122,7 @@ pub fn request_with_retry(
         match attempt {
             // 429 backpressure always invites a retry; 503 only when the
             // server said `Retry-After` (a draining daemon does — see
-            // `serve_connection` — and wants the client elsewhere
+            // `routes::draining_reply` — and wants the client elsewhere
             // meanwhile, so the stale keep-alive connection is dropped).
             Ok((status @ (429 | 503), headers, body))
                 if status == 429 || retry_after(&headers).is_some() =>

@@ -1,10 +1,11 @@
 //! Route dispatch and JSON rendering.
 //!
 //! Cheap endpoints (`/healthz`, `/stats`, `/metrics`, `/profile`) are
-//! answered inline on the connection thread; compute endpoints
-//! (`/figures/*`, `/tables/*`, `POST /experiments`) go through the
-//! engine's cache + admission queue.
+//! answered inline on the readiness core's poller thread; compute
+//! endpoints (`/figures/*`, `/tables/*`, `POST /experiments`) go
+//! through the engine's cache + admission queue.
 
+use crate::core::Dispatch;
 use crate::engine::{Engine, ServerStats, Submission, Work};
 use crate::http::Request;
 use crate::minjson::{self, Json};
@@ -15,14 +16,13 @@ use gem5prof::ProfileRun;
 use gem5prof_profstore::{self as profstore, ProfStore};
 use platforms::{PlatformId, SystemKnobs};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A finished response: status, JSON body, extra headers.
 pub(crate) type Reply = (u16, String, Vec<(String, String)>);
 
-/// Shared server state every connection thread sees.
+/// Shared server state every request is routed against.
 pub(crate) struct Shared {
     pub engine: std::sync::Arc<Engine>,
     pub stats: std::sync::Arc<ServerStats>,
@@ -80,26 +80,17 @@ pub(crate) fn route_key(req: &Request) -> Option<String> {
     }
 }
 
-/// A routed request: either already answered, or waiting on a compute
-/// whose result arrives on `rx`.
-pub(crate) enum Routed {
-    Done(Reply),
-    /// `stream` asks for a chunked response with progress lines while
-    /// the compute runs (`POST /experiments?stream=progress`).
-    Pending {
-        rx: mpsc::Receiver<Result<Arc<String>, String>>,
-        stream: bool,
-    },
-}
-
 /// Dispatches one parsed request to its route without blocking on
-/// computes: the readiness core polls `Routed::Pending` receivers.
-pub(crate) fn dispatch(req: &Request, shared: &Shared) -> Routed {
+/// computes: the readiness core polls `Dispatch::Pending` receivers.
+/// `stream` on a pending experiment asks for a chunked response with
+/// progress lines while the compute runs
+/// (`POST /experiments?stream=progress`).
+pub(crate) fn dispatch(req: &Request, shared: &Shared) -> Dispatch {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", path) if path.starts_with("/figures/") => {
             match parse_figure_path(&path["/figures/".len()..], req) {
                 Ok(work) => start_work(work, shared, false),
-                Err((status, msg)) => Routed::Done(plain(status, &msg)),
+                Err((status, msg)) => Dispatch::Reply(plain(status, &msg)),
             }
         }
         ("GET", "/tables/table1") => start_work(Work::Table(1), shared, false),
@@ -111,7 +102,7 @@ pub(crate) fn dispatch(req: &Request, shared: &Shared) -> Routed {
                 None => false,
                 Some("progress") => true,
                 Some(other) => {
-                    return Routed::Done(plain(
+                    return Dispatch::Reply(plain(
                         400,
                         &format!("unknown stream mode `{other}` (want `progress`)"),
                     ))
@@ -119,40 +110,10 @@ pub(crate) fn dispatch(req: &Request, shared: &Shared) -> Routed {
             };
             match parse_experiment(&req.body) {
                 Ok(spec) => start_work(Work::Experiment(spec), shared, stream),
-                Err(msg) => Routed::Done(plain(400, &msg)),
+                Err(msg) => Dispatch::Reply(plain(400, &msg)),
             }
         }
-        _ => Routed::Done(inline_routes(req, shared)),
-    }
-}
-
-/// Blocking dispatch: routes, then waits out any compute under the
-/// per-request deadline. The legacy thread-per-connection path (and
-/// tests) use this; the readiness core uses [`dispatch`] directly.
-pub(crate) fn handle(req: &Request, shared: &Shared) -> Reply {
-    match dispatch(req, shared) {
-        Routed::Done(reply) => reply,
-        Routed::Pending { rx, .. } => await_pending(&rx, shared.deadline),
-    }
-}
-
-/// Waits for a compute result the way `recv_timeout` always has:
-/// 200/500 on an answer, 504 on deadline (the eventual result still
-/// warms the cache), 500 if the worker died without answering.
-pub(crate) fn await_pending(
-    rx: &mpsc::Receiver<Result<Arc<String>, String>>,
-    deadline: Duration,
-) -> Reply {
-    match rx.recv_timeout(deadline) {
-        Ok(Ok(body)) => (200, (*body).clone(), Vec::new()),
-        Ok(Err(msg)) => plain(500, &msg),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            plain(504, "deadline exceeded (result will be cached)")
-        }
-        // The worker dropped the reply sender without answering (it
-        // panicked mid-job): a server fault, reported immediately —
-        // not a deadline expiry after a pointless full wait.
-        Err(mpsc::RecvTimeoutError::Disconnected) => plain(500, "worker failed before replying"),
+        _ => Dispatch::Reply(inline_routes(req, shared)),
     }
 }
 
@@ -182,7 +143,7 @@ fn inline_routes(req: &Request, shared: &Shared) -> Reply {
         ("GET", path) if path.starts_with("/tables/") => plain(404, "not found"),
         // Peer warm-tier probe: the body is a canonical result-cache
         // key; answer from the local tiers or 404 — never compute. Kept
-        // answerable during drain (see `serve_connection`) so a
+        // answerable during drain (see `ServedService::dispatch`) so a
         // draining node's warm entries remain fetchable.
         ("POST", "/peek") => match std::str::from_utf8(&req.body) {
             Ok(key) if !key.is_empty() => match shared.engine.peek(key) {
@@ -225,12 +186,12 @@ fn inline_routes(req: &Request, shared: &Shared) -> Reply {
 }
 
 /// Submits compute work through the cache + admission queue; a miss
-/// comes back as `Routed::Pending` for the caller to await.
-fn start_work(work: Work, shared: &Shared, stream: bool) -> Routed {
+/// comes back as `Dispatch::Pending` for the core to await.
+fn start_work(work: Work, shared: &Shared, stream: bool) -> Dispatch {
     if shared.draining.load(Ordering::Relaxed) {
-        return Routed::Done(draining_reply());
+        return Dispatch::Reply(draining_reply());
     }
-    Routed::Done(match shared.engine.submit(work) {
+    Dispatch::Reply(match shared.engine.submit(work) {
         Submission::Hit(body) => (200, (*body).clone(), Vec::new()),
         Submission::Busy => (
             429,
@@ -238,7 +199,7 @@ fn start_work(work: Work, shared: &Shared, stream: bool) -> Routed {
             vec![("retry-after".into(), "1".into())],
         ),
         Submission::Draining => draining_reply(),
-        Submission::Pending(rx) => return Routed::Pending { rx, stream },
+        Submission::Pending(rx) => return Dispatch::Pending { rx, stream },
     })
 }
 

@@ -466,15 +466,7 @@ impl System {
         // Block-cache counters go to the host-side metrics registry, NOT
         // into [`SimResult`]: results must be tier-invariant, and these
         // counters are not (the interp tier compiles nothing).
-        let bs = m
-            .block_caches
-            .iter()
-            .fold(BlockCacheStats::default(), |a, c| BlockCacheStats {
-                hits: a.hits + c.stats.hits,
-                compiled: a.compiled + c.stats.compiled,
-                evicted: a.evicted + c.stats.evicted,
-                invalidated: a.invalidated + c.stats.invalidated,
-            });
+        let bs = self.block_stats();
         let reg = gem5prof_obs::global();
         reg.counter(
             "gem5sim_block_cache_hits_total",

@@ -9,15 +9,19 @@
 # computes independently and the herd serializes over the 2 workers;
 # with coalescing the herd costs one compute.
 #
-# Also records the execution-tier comparison: interp vs block cold
-# computes on the bare engine (no observer), via exec_tier_bench — and
-# the cluster comparison: the same duplicate-heavy workload against one
-# node vs. four nodes behind the consistent-hash router, with the
-# fleet-wide compute count (must stay <= unique keys) — and the serving
-# core comparison: thread-per-connection vs readiness loop at 512
-# closed-loop clients, plus the 10 000-connection open-loop run — and
-# the microbench guest-MIPS matrix (every variant x Atomic/Timing, both
-# tiers, each run pinned by its guest checksum).
+# Also records:
+# - the cluster comparison: the same duplicate-heavy workload against
+#   one node vs. four nodes behind the consistent-hash router, with the
+#   fleet-wide compute count (must stay <= unique keys);
+# - the serving core at 512 closed-loop clients, plus the
+#   10 000-connection open-loop run;
+# - the execution-tier comparison: tier_bench runs the kernels and
+#   microbenchmarks under interp and block on the bare engine (no
+#   observer), each cell verified.
+#
+# bench_report parses every per-run report and writes the file; it
+# fails on a missing or malformed report, and the old file is only
+# replaced once the new one has been written whole.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -158,18 +162,11 @@ if [ "$FLEET_COMPUTES" -gt 2 ]; then
     exit 1
 fi
 
-# --- serving core: thread-per-conn vs readiness loop ------------------
-# The same 512-client closed-loop /healthz workload against the legacy
-# blocking core (--thread-per-conn, kept as the bench baseline) and the
-# readiness-loop core — then the regime only the readiness core can
-# hold: 10 000 concurrent open-loop connections from one generator
-# thread. The long idle timeout keeps early connections alive while the
-# later waves are still dialing.
-start_daemon --thread-per-conn --max-conns 12000 --read-timeout-ms 30000
-target/release/loadgen --addr "$ADDR" --clients 512 --requests 20 \
-    --paths /healthz --json > "$OUT_DIR/serving_threads.json"
-stop_daemon
-
+# --- serving core ------------------------------------------------------
+# A 512-client closed-loop /healthz workload, then 10 000 concurrent
+# open-loop connections from one generator thread. The long idle
+# timeout keeps early connections alive while the later waves are
+# still dialing.
 start_daemon --max-conns 12000 --read-timeout-ms 30000
 target/release/loadgen --addr "$ADDR" --clients 512 --requests 20 \
     --paths /healthz --json > "$OUT_DIR/serving_core.json"
@@ -177,75 +174,15 @@ target/release/loadgen --addr "$ADDR" --open-loop --connections 10000 \
     --requests 3 --paths /healthz --json > "$OUT_DIR/serving_10k.json"
 stop_daemon
 
-# --- execution tiers: interp vs block cold compute, bare engine -------
-target/release/exec_tier_bench --scale simmedium --reps 3 --json \
-    > "$OUT_DIR/exec_tier.json"
+# --- execution tiers: interp vs block, bare engine --------------------
+# Kernels at simmedium plus every microbenchmark, under Atomic and
+# Timing; the binary exits nonzero if the tiers diverge, a rep is not
+# deterministic or a checksum is wrong, so a benchmark refresh doubles
+# as a correctness gate.
+target/release/tier_bench --scale simmedium --reps 3 --json > "$OUT_DIR/tiers.json"
 
-# --- microbenchmarks: guest-MIPS matrix, both tiers verified ----------
-# Every variant under Atomic and Timing, interp and block; the binary
-# exits nonzero if the tiers diverge or any checksum is wrong, so a
-# benchmark refresh doubles as a correctness gate.
-target/release/microbench --json > "$OUT_DIR/microbench.json"
-
-# --- stitch the reports into BENCH_serving.json -----------------------
-awk -v fleet_computes="$FLEET_COMPUTES" '
-function slurp(path, indent,   line, first, out) {
-    first = 1
-    out = ""
-    while ((getline line < path) > 0) {
-        if (first) { out = line; first = 0 }
-        else { out = out "\n" indent line }
-    }
-    close(path)
-    return out
-}
-function rps(path,   line, v) {
-    while ((getline line < path) > 0) {
-        if (line ~ /"throughput_rps"/) {
-            gsub(/[^0-9.]/, "", line)
-            v = line + 0
-        }
-    }
-    close(path)
-    return v
-}
-BEGIN {
-    dir = ARGV[1]
-    steady = slurp(dir "/steady.json", "  ")
-    co = slurp(dir "/coalesced.json", "    ")
-    nc = slurp(dir "/no_coalesce.json", "    ")
-    c1 = slurp(dir "/cluster1.json", "    ")
-    c4 = slurp(dir "/cluster4.json", "    ")
-    st = slurp(dir "/serving_threads.json", "    ")
-    sc = slurp(dir "/serving_core.json", "    ")
-    s10k = slurp(dir "/serving_10k.json", "    ")
-    et = slurp(dir "/exec_tier.json", "  ")
-    mb = slurp(dir "/microbench.json", "  ")
-    speedup = rps(dir "/coalesced.json") / rps(dir "/no_coalesce.json")
-    print "{"
-    print "  \"steady_state\": " steady ","
-    print "  \"duplicate_heavy_cold\": {"
-    print "    \"coalesced\": " co ","
-    print "    \"no_coalesce\": " nc ","
-    printf "    \"coalescing_speedup\": %.2f\n", speedup
-    print "  },"
-    print "  \"cluster_duplicate_heavy\": {"
-    print "    \"single_node\": " c1 ","
-    print "    \"four_nodes_routed\": " c4 ","
-    print "    \"four_node_fleet_computes\": " fleet_computes ","
-    print "    \"unique_keys\": 2"
-    print "  },"
-    print "  \"serving\": {"
-    print "    \"thread_per_conn_512\": " st ","
-    print "    \"readiness_core_512\": " sc ","
-    print "    \"open_loop_10k\": " s10k
-    print "  },"
-    print "  \"exec_tier\": " et ","
-    print "  \"microbench\": " mb
-    print "}"
-}' "$OUT_DIR" > BENCH_serving.json
+target/release/bench_report "$OUT_DIR" "$FLEET_COMPUTES" > "$OUT_DIR/BENCH_serving.json"
+mv "$OUT_DIR/BENCH_serving.json" BENCH_serving.json
 
 echo "bench_serving: wrote BENCH_serving.json"
-grep coalescing_speedup BENCH_serving.json
-grep geomean BENCH_serving.json
-grep all_verified BENCH_serving.json
+grep -E '"(coalescing_speedup|ATOMIC|TIMING|all_verified)": ' BENCH_serving.json

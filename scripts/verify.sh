@@ -16,11 +16,16 @@ cargo build --release --offline --workspace
 cargo test -q --offline
 cargo test -q --offline -p gem5prof-served
 cargo fmt --check
+# perfbench (the repository benchmark, a package outside the
+# workspace) builds against crates/* by path: its unit tests keep the
+# APIs it uses compiling.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-# Cross-tier equivalence smoke on the bare engine: exec_tier_bench
-# exits nonzero if any (workload, CPU model) cell diverges between the
-# interp and block tiers.
-target/release/exec_tier_bench --scale simsmall --reps 1
+# Cross-tier equivalence smoke on the bare engine: tier_bench exits
+# nonzero if any (workload, CPU model) cell diverges between the interp
+# and block tiers, is nondeterministic across reps, or a
+# microbenchmark's guest checksum is wrong.
+target/release/tier_bench --scale simsmall --reps 1
 
 # Block-tier determinism: full quick-fidelity artifact regeneration
 # must be byte-identical across runs and across runner thread counts
@@ -147,8 +152,9 @@ for TIER in interp block; do
     SERVED_PID=""
 done
 # The co-run response holds two checksums (one per hart): 3 in total
-# with the single-hart microbench run.
-if [ "$(printf '%s' "$INTERP_SUMS" | tr ' ' '\n' | grep -c '^0x')" -ne 3 ]; then
+# with the single-hart microbench run. Both the spaces and the `/`
+# between specs separate checksums.
+if [ "$(printf '%s' "$INTERP_SUMS" | tr ' /' '\n\n' | grep -c '^0x')" -ne 3 ]; then
     echo "verify: expected 3 guest checksums across the two specs: $INTERP_SUMS" >&2
     exit 1
 fi
