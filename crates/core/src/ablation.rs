@@ -16,49 +16,26 @@
 //!   BTB capacity) and show which mechanisms the simulation-speed story
 //!   actually rests on.
 
-use crate::experiment::{GuestSpec, HostSetup};
+use crate::experiment::{profile, registry_for, simulate, GuestSpec, HostSetup};
 use crate::report::Table;
-use gem5sim::config::{CpuModel, SimMode, SystemConfig};
-use gem5sim::observe::{CompClass, ExecutionObserver, Obs};
-use gem5sim::system::System;
+use gem5sim::config::{CpuModel, SimMode};
+use gem5sim::observe::CompClass;
 use gem5sim_workloads::Workload;
 use hostmodel::HostEngine;
-use hosttrace::record::FanoutSink;
-use hosttrace::{BinaryVariant, PageBacking, Registry, TraceAdapter};
+use hosttrace::{BinaryVariant, PageBacking};
 use platforms::intel_xeon;
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
 
 use crate::figures::Fidelity;
 
-/// Runs one guest simulation with per-component work scaling applied to
-/// the adapter, returning host seconds on the Xeon.
-fn run_scaled(guest: &GuestSpec, scaled: Option<(CompClass, f32)>) -> f64 {
-    let reg = Arc::new(Registry::new(BinaryVariant::Base, PageBacking::Base));
-    let engine = HostEngine::new(intel_xeon().config, Arc::clone(&reg));
-    let mut adapter = TraceAdapter::new(Arc::clone(&reg), FanoutSink::new(vec![engine]));
-    if let Some((comp, factor)) = scaled {
-        adapter.set_work_scale(comp, factor);
-    }
-    let adapter = Rc::new(RefCell::new(adapter));
-    let obs = Obs::new(Rc::clone(&adapter) as Rc<RefCell<dyn ExecutionObserver>>);
-    let mut sys = System::with_observer(
-        SystemConfig::new(guest.cpu, guest.mode),
-        guest.workload.program(guest.scale),
-        obs,
-    );
-    sys.run();
-    drop(sys);
-    let adapter = Rc::try_unwrap(adapter).ok().expect("unique").into_inner();
-    let (fanout, _) = adapter.into_parts();
-    let stats = fanout
-        .into_inner()
-        .into_iter()
-        .next()
-        .expect("one engine")
-        .finish();
-    stats.seconds()
+/// Runs one guest simulation with `comp`'s host work accelerated 10x,
+/// returning host seconds on the Xeon.
+fn run_scaled(guest: &GuestSpec, comp: CompClass) -> f64 {
+    let mut engines = vec![HostEngine::new(
+        intel_xeon().config,
+        registry_for(BinaryVariant::Base, PageBacking::Base),
+    )];
+    simulate(guest, &mut engines, Some((comp, 0.1)));
+    engines.pop().expect("one engine").finish().seconds()
 }
 
 /// Sec. VI: speedup from 10x-accelerating each component class alone.
@@ -69,7 +46,7 @@ pub fn accelerator_study(f: Fidelity) -> Table {
         CpuModel::O3,
         SimMode::Fs,
     );
-    let base = run_scaled(&guest, None);
+    let base = profile(&guest, &[HostSetup::platform(&intel_xeon())]).hosts[0].seconds();
     let mut t = Table::new(
         "Sec. VI study: end-to-end speedup from 10x-accelerating one component (O3, water_nsquared)",
         ["Speedup%"].map(String::from).to_vec(),
@@ -86,8 +63,7 @@ pub fn accelerator_study(f: Fidelity) -> Table {
         CompClass::Decoder,
         CompClass::Stats,
     ];
-    let secs =
-        crate::runner::parallel_map(&candidates, |&comp| run_scaled(&guest, Some((comp, 0.1))));
+    let secs = crate::runner::parallel_map(&candidates, |&comp| run_scaled(&guest, comp));
     for (comp, s) in candidates.iter().zip(secs) {
         t.push(format!("{comp}"), vec![100.0 * (base / s - 1.0)]);
     }
@@ -127,7 +103,7 @@ pub fn host_mechanism_ablation(f: Fidelity) -> Table {
         "iTLB 16",
         "no STLB",
     ];
-    let run = crate::experiment::profile(&guest, &setups);
+    let run = profile(&guest, &setups);
     let base = run.hosts[0].seconds();
     let mut t = Table::new(
         "Host-mechanism ablation (O3, water_nsquared): slowdown when removed",

@@ -1,19 +1,20 @@
 //! Experiment plumbing: one guest simulation, many host evaluations.
 //!
 //! [`profile`] is memoized per [`GuestSpec`] (see [`crate::runner`]): the
-//! first call simulates the guest and records the post-adapter event
-//! stream; later calls for the same spec replay that stream into fresh
-//! host engines without touching the simulator. Either path feeds every
-//! host engine the identical stream, so results never depend on whether
-//! they were served live or from cache.
+//! first call simulates the guest, streaming the post-adapter events into
+//! the host engines and recording them; later calls for the same spec
+//! feed the recorded stream into fresh host engines without touching the
+//! simulator. Both paths hand the engines the identical stream through
+//! [`hosttrace::record::feed`], so results never depend on whether they
+//! were simulated or served from cache.
 
 use crate::runner::{self, CachedGuest, TRACE_CACHE_CAP};
 use gem5sim::config::{CpuModel, SimMode, SystemConfig};
-use gem5sim::observe::{ExecutionObserver, Obs};
+use gem5sim::observe::{CompClass, ExecutionObserver, Obs};
 use gem5sim::system::{SimResult, System};
 use gem5sim_workloads::{Microbench, Scale, Workload};
 use hostmodel::{HostEngine, HostRunStats};
-use hosttrace::record::{replay, FanoutSink, RecordingSink, TeeSink};
+use hosttrace::record::{feed, RecordingSink, TraceEvent};
 use hosttrace::{BinaryVariant, CallProfile, PageBacking, Registry, TraceAdapter};
 use platforms::{Platform, SystemKnobs};
 use specgen::SpecBenchmark;
@@ -170,13 +171,6 @@ pub(crate) fn registry_for(binary: BinaryVariant, backing: PageBacking) -> Arc<R
     r
 }
 
-fn engines_for(hosts: &[HostSetup]) -> Vec<HostEngine> {
-    hosts
-        .iter()
-        .map(|h| HostEngine::new(h.config.clone(), registry_for(h.binary, h.backing)))
-        .collect()
-}
-
 /// Runs one guest simulation, feeding every host setup from the same
 /// instrumentation stream (so host comparisons are exact, not sampled).
 ///
@@ -187,30 +181,58 @@ pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
     assert!(!hosts.is_empty(), "at least one host setup required");
     let _span = gem5prof_obs::span("profile");
     let _wspan = gem5prof_obs::span(guest.workload.name());
-    let canon = registry_for(BinaryVariant::Base, PageBacking::Base);
-
-    if let Some(cached) = runner::cache_lookup(guest) {
-        let _replay = gem5prof_obs::span("replay");
-        let mut fanout = FanoutSink::new(engines_for(hosts));
-        replay(&cached.events, &mut fanout);
-        return ProfileRun {
-            guest: cached.guest.clone(),
-            hosts: fanout
-                .into_inner()
-                .into_iter()
-                .map(HostEngine::finish)
-                .collect(),
-            profile: cached.profile.clone(),
-            registry: canon,
-        };
+    let mut engines: Vec<HostEngine> = hosts
+        .iter()
+        .map(|h| HostEngine::new(h.config.clone(), registry_for(h.binary, h.backing)))
+        .collect();
+    let (result, profile) = match runner::cache_lookup(guest) {
+        Some(cached) => {
+            let _replay = gem5prof_obs::span("replay");
+            feed(&cached.events, &mut engines);
+            (cached.guest.clone(), cached.profile.clone())
+        }
+        None => {
+            let (result, profile, events) = simulate(guest, &mut engines, None);
+            if let Some(events) = events {
+                runner::cache_insert(
+                    *guest,
+                    CachedGuest {
+                        guest: result.clone(),
+                        profile: profile.clone(),
+                        events,
+                    },
+                );
+            }
+            (result, profile)
+        }
+    };
+    ProfileRun {
+        guest: result,
+        hosts: engines.into_iter().map(HostEngine::finish).collect(),
+        profile,
+        registry: registry_for(BinaryVariant::Base, PageBacking::Base),
     }
+}
 
-    // Miss: simulate once, feeding the engines live while recording the
-    // stream for the cache. The recorder degrades gracefully — a stream
-    // past the cap simply isn't cached.
-    let fanout = FanoutSink::new(engines_for(hosts));
-    let tee = TeeSink::new(fanout, RecordingSink::with_cap(TRACE_CACHE_CAP));
-    let adapter = Rc::new(RefCell::new(TraceAdapter::new(Arc::clone(&canon), tee)));
+/// Simulates `guest` once, feeding the adapter's output to `engines` chunk
+/// by chunk while recording it. Returns the guest results, the call profile
+/// and the recording if it has at most [`TRACE_CACHE_CAP`] events.
+/// `work_scale` scales one component's host work (Sec. VI); such a stream
+/// is not the spec's, so it is never recorded.
+pub(crate) fn simulate(
+    guest: &GuestSpec,
+    engines: &mut Vec<HostEngine>,
+    work_scale: Option<(CompClass, f32)>,
+) -> (SimResult, CallProfile, Option<Vec<TraceEvent>>) {
+    let cap = work_scale.map_or(TRACE_CACHE_CAP, |_| 0);
+    let mut adapter = TraceAdapter::new(
+        registry_for(BinaryVariant::Base, PageBacking::Base),
+        RecordingSink::with_sinks(cap, std::mem::take(engines)),
+    );
+    if let Some((comp, factor)) = work_scale {
+        adapter.set_work_scale(comp, factor);
+    }
+    let adapter = Rc::new(RefCell::new(adapter));
     let obs = Obs::new(Rc::clone(&adapter) as Rc<RefCell<dyn ExecutionObserver>>);
 
     let program = match guest.corun {
@@ -237,39 +259,19 @@ pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
                 .collect(),
         );
     }
-    let mut sys = System::with_observer(cfg, program, obs);
-    let guest_result = {
+    let result = {
         let _sim = gem5prof_obs::span("guest_sim");
-        sys.run()
+        System::with_observer(cfg, program, obs).run()
     };
-    drop(sys);
 
-    let adapter = Rc::try_unwrap(adapter)
+    let (recorder, profile) = Rc::try_unwrap(adapter)
         .ok()
         .expect("system dropped; adapter is uniquely owned")
-        .into_inner();
-    let (tee, profile) = adapter.into_parts();
-    let (fanout, recorder) = (tee.a, tee.b);
-    if let Some(events) = recorder.into_events() {
-        runner::cache_insert(
-            *guest,
-            CachedGuest {
-                guest: guest_result.clone(),
-                profile: profile.clone(),
-                events,
-            },
-        );
-    }
-    ProfileRun {
-        guest: guest_result,
-        hosts: fanout
-            .into_inner()
-            .into_iter()
-            .map(HostEngine::finish)
-            .collect(),
-        profile,
-        registry: canon,
-    }
+        .into_inner()
+        .into_parts();
+    let (events, fed) = recorder.finish();
+    *engines = fed;
+    (result, profile, events)
 }
 
 /// Profiles a bare-metal SPEC reference benchmark on several hosts.
@@ -344,6 +346,21 @@ mod tests {
         assert_eq!(live.guest, replayed.guest);
         assert_eq!(live.hosts, replayed.hosts);
         assert_eq!(live.profile, replayed.profile);
+    }
+
+    #[test]
+    fn host_engines_run_in_their_own_span() {
+        // No other test profiles a two-hart fmm, so this call simulates.
+        let spec =
+            GuestSpec::new(Workload::Fmm, Scale::Test, CpuModel::Atomic, SimMode::Se).with_harts(2);
+        let _ = profile(&spec, &[HostSetup::platform(&intel_xeon())]);
+        let root = ["profile", spec.workload.name()];
+        assert!(
+            gem5prof_obs::span::snapshot()
+                .iter()
+                .any(|n| n.path.starts_with(&root) && n.path.last() == Some(&"host_engines")),
+            "no host_engines span under {root:?}"
+        );
     }
 
     #[test]

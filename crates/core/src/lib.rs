@@ -8,8 +8,11 @@
 //!                       │ ExecutionObserver (every handler)
 //!                       ▼
 //!                  hosttrace::TraceAdapter (synthetic gem5 binary)
-//!                       │ host instruction stream (fanout)
+//!                       │ host instruction stream
 //!                       ▼
+//!                  hosttrace::RecordingSink ──► trace cache (≤ 8 M events)
+//!                       │ record::feed               │ hit: record::feed
+//!                       ▼ (64 Ki-event chunks)       ▼
 //!          hostmodel::HostEngine × N host platforms / knob settings
 //!                       │
 //!                       ▼

@@ -6,9 +6,9 @@
 //! point was historically profiled sequentially. [`parallel_map`] fans a
 //! work list across cores with scoped threads and work stealing, and the
 //! [trace cache](cache_stats) makes each [`GuestSpec`] guest simulation
-//! run at most once per process: its post-adapter event stream is
-//! recorded and replayed into the host engines of every later profile of
-//! the same spec.
+//! whose post-adapter event stream has at most `TRACE_CACHE_CAP` events
+//! run at most once per process: the stream is recorded and fed into
+//! the host engines of every later profile of the same spec.
 //!
 //! Determinism contract: `parallel_map(items, f)[i] == f(&items[i])`,
 //! assembled in input order, for any thread count and any interleaving.
@@ -302,8 +302,8 @@ pub(crate) struct CachedGuest {
     pub events: Vec<TraceEvent>,
 }
 
-/// Cap on cached events per guest simulation (~16 bytes/event → ≤128 MiB
-/// per entry). Streams past the cap are profiled live but not cached.
+/// Cap on cached events per guest simulation (24 B per `TraceEvent`, so
+/// ≤ 192 MB per entry). Longer streams reach the host engines, uncached.
 pub(crate) const TRACE_CACHE_CAP: usize = 8_000_000;
 
 /// Running totals for the trace cache, readable by tests and tools.

@@ -13,7 +13,8 @@
 //!   (optionally `-O3`-compiled: smaller and better clustered);
 //! * [`record::ExecRecord`] / [`record::DataRef`] — the host instruction
 //!   stream: one record per host *function invocation*, consumed by the
-//!   `hostmodel` crate's microarchitecture model via [`record::TraceSink`];
+//!   `hostmodel` crate's microarchitecture model via [`record::TraceSink`],
+//!   in chunks handed out by [`record::feed`];
 //! * [`adapter::TraceAdapter`] — the bridge: it implements
 //!   [`gem5sim::ExecutionObserver`], translating every simulator handler
 //!   invocation into calls of the corresponding primary function plus a

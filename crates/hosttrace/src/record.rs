@@ -56,8 +56,8 @@ impl TraceSink for NullSink {
     fn data(&mut self, _dref: DataRef) {}
 }
 
-/// Fans one stream out to several sinks — used to evaluate multiple host
-/// platforms over a single guest simulation.
+/// Fans one stream out to several sinks, event by event. The profiling
+/// pipeline uses [`feed`] instead, which does the same a chunk at a time.
 #[derive(Debug, Default)]
 pub struct FanoutSink<S> {
     /// The downstream sinks.
@@ -100,91 +100,80 @@ pub enum TraceEvent {
     Data(DataRef),
 }
 
-/// Records the stream into memory, up to a cap.
-///
-/// Past `cap` events the recorder stops storing (and remembers that it
-/// overflowed) instead of growing without bound — large guest simulations
-/// are simply not cached rather than exhausting memory.
+/// Events [`feed`] hands each sink at a time: 65,536 events, 1.5 MiB.
+const CHUNK_EVENTS: usize = 1 << 16;
+
+/// Records the stream, up to a cap, while passing it on to downstream
+/// sinks one [`feed`] chunk at a time; [`finish`](Self::finish) feeds the
+/// last, partial chunk. Past `cap` events the recording is dropped and
+/// only the current chunk is held, so memory stays bounded by `cap` plus
+/// one chunk: a long guest simulation is simply not cached.
 #[derive(Debug, Clone, Default)]
-pub struct RecordingSink {
+pub struct RecordingSink<S = NullSink> {
     events: Vec<TraceEvent>,
+    /// `events[..fed]` has already gone downstream.
+    fed: usize,
     cap: usize,
     overflowed: bool,
+    sinks: Vec<S>,
 }
 
 impl RecordingSink {
-    /// A recorder that keeps at most `cap` events.
+    /// A recorder of at most `cap` events with no downstream sinks.
     pub fn with_cap(cap: usize) -> Self {
-        RecordingSink {
-            events: Vec::new(),
-            cap,
-            overflowed: false,
-        }
-    }
-
-    /// Whether the stream exceeded the cap (the recording is incomplete
-    /// and must not be replayed).
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
-    /// The complete recorded stream, or `None` if it overflowed.
-    pub fn into_events(self) -> Option<Vec<TraceEvent>> {
-        if self.overflowed {
-            None
-        } else {
-            Some(self.events)
-        }
-    }
-
-    fn push(&mut self, ev: TraceEvent) {
-        if self.overflowed {
-            return;
-        }
-        if self.events.len() >= self.cap {
-            self.overflowed = true;
-            self.events = Vec::new();
-            return;
-        }
-        self.events.push(ev);
+        Self::with_sinks(cap, Vec::new())
     }
 }
 
-impl TraceSink for RecordingSink {
+impl<S: TraceSink> RecordingSink<S> {
+    /// A recorder that keeps at most `cap` events and feeds the whole
+    /// stream to `sinks`.
+    pub fn with_sinks(cap: usize, sinks: Vec<S>) -> Self {
+        RecordingSink {
+            events: Vec::new(),
+            fed: 0,
+            cap,
+            overflowed: false,
+            sinks,
+        }
+    }
+
+    /// Feeds the last chunk downstream and returns the complete recorded
+    /// stream — `None` if it exceeded the cap — and the downstream sinks.
+    pub fn finish(mut self) -> (Option<Vec<TraceEvent>>, Vec<S>) {
+        self.flush();
+        ((!self.overflowed).then_some(self.events), self.sinks)
+    }
+
+    /// The complete recorded stream, or `None` if it exceeded the cap.
+    pub fn into_events(self) -> Option<Vec<TraceEvent>> {
+        self.finish().0
+    }
+
+    fn flush(&mut self) {
+        feed(&self.events[self.fed..], &mut self.sinks);
+        if self.overflowed || self.events.len() > self.cap {
+            self.overflowed = true;
+            self.events.clear();
+            self.events.shrink_to(CHUNK_EVENTS);
+        }
+        self.fed = self.events.len();
+    }
+
+    fn push(&mut self, ev: TraceEvent) {
+        self.events.push(ev);
+        if self.events.len() - self.fed == CHUNK_EVENTS {
+            self.flush();
+        }
+    }
+}
+
+impl<S: TraceSink> TraceSink for RecordingSink<S> {
     fn exec(&mut self, rec: ExecRecord) {
         self.push(TraceEvent::Exec(rec));
     }
     fn data(&mut self, dref: DataRef) {
         self.push(TraceEvent::Data(dref));
-    }
-}
-
-/// Duplicates one stream into two heterogeneous sinks — used to feed host
-/// engines live while simultaneously recording the stream for the
-/// memoization cache.
-#[derive(Debug)]
-pub struct TeeSink<A, B> {
-    /// First downstream sink.
-    pub a: A,
-    /// Second downstream sink.
-    pub b: B,
-}
-
-impl<A, B> TeeSink<A, B> {
-    /// Wraps the two sinks.
-    pub fn new(a: A, b: B) -> Self {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn exec(&mut self, rec: ExecRecord) {
-        self.a.exec(rec);
-        self.b.exec(rec);
-    }
-    fn data(&mut self, dref: DataRef) {
-        self.a.data(dref);
-        self.b.data(dref);
     }
 }
 
@@ -194,6 +183,21 @@ pub fn replay<S: TraceSink>(events: &[TraceEvent], sink: &mut S) {
         match ev {
             TraceEvent::Exec(rec) => sink.exec(rec),
             TraceEvent::Data(dref) => sink.data(dref),
+        }
+    }
+}
+
+/// Hands `events` to every sink one 65,536-event chunk at a time, sink by
+/// sink within a chunk, each chunk in a `host_engines` span. The sinks are
+/// independent, so each sees exactly the stream [`replay`] gives it.
+pub fn feed<S: TraceSink>(events: &[TraceEvent], sinks: &mut [S]) {
+    if sinks.is_empty() {
+        return;
+    }
+    for chunk in events.chunks(CHUNK_EVENTS) {
+        let _span = gem5prof_obs::span("host_engines");
+        for sink in sinks.iter_mut() {
+            replay(chunk, sink);
         }
     }
 }
@@ -270,25 +274,48 @@ mod tests {
 
     #[test]
     fn recorder_overflow_discards_instead_of_growing() {
-        let mut r = RecordingSink::with_cap(2);
-        for _ in 0..5 {
-            r.exec(rec(1));
+        for (len, kept) in [(2, true), (3, false)] {
+            let mut r = RecordingSink::with_cap(2);
+            for _ in 0..len {
+                r.exec(rec(1));
+            }
+            assert_eq!(r.into_events().is_some(), kept, "{len} events");
         }
-        assert!(r.overflowed());
-        assert!(r.into_events().is_none());
     }
 
     #[test]
-    fn tee_feeds_both_sinks() {
-        let mut t = TeeSink::new(CountingSink::default(), RecordingSink::with_cap(10));
-        t.exec(rec(7));
-        t.data(DataRef {
-            addr: 0x40,
-            bytes: 4,
-            write: false,
-        });
-        assert_eq!((t.a.execs, t.a.datas), (1, 1));
-        assert_eq!(t.b.into_events().unwrap().len(), 2);
+    fn over_cap_recorder_streams_everything_downstream_in_bounded_memory() {
+        let input: Vec<TraceEvent> = (0..3 * CHUNK_EVENTS as u32 + 17)
+            .map(|i| match i % 5 {
+                0 => TraceEvent::Data(DataRef {
+                    addr: u64::from(i) * 64,
+                    bytes: 8,
+                    write: i % 2 == 0,
+                }),
+                _ => TraceEvent::Exec(ExecRecord {
+                    variant: i,
+                    ..rec(1)
+                }),
+            })
+            .collect();
+        let cap = CHUNK_EVENTS + 100;
+        let downstream = vec![RecordingSink::with_cap(usize::MAX); 2];
+        let mut r = RecordingSink::with_sinks(cap, downstream);
+        for ev in input.chunks(1) {
+            replay(ev, &mut r);
+            assert!(
+                r.events.len() <= cap + CHUNK_EVENTS,
+                "recorder grew past the bound"
+            );
+        }
+        let (recording, sinks) = r.finish();
+        assert!(
+            recording.is_none(),
+            "an over-cap stream must not be recorded"
+        );
+        for s in sinks {
+            assert_eq!(s.into_events().expect("uncapped"), input);
+        }
     }
 
     #[test]

@@ -18,10 +18,12 @@ use crate::Snapshot;
 use std::collections::BTreeMap;
 
 /// Hot spans the regression gate watches by default: the event-queue
-/// drain and guest simulation loops the paper's speedups protect, plus
-/// the server's per-request compute span. Matching is by path *leaf*,
-/// so `serve_compute;profile;dedup;guest_sim` counts toward `guest_sim`.
-pub const DEFAULT_HOT_SPANS: &[&str] = &["eventq_drain", "guest_sim", "serve_compute"];
+/// drain and guest simulation loops the paper's speedups protect, the
+/// host engines that consume their event stream, plus the server's
+/// per-request compute span. Matching is by path *leaf*, so
+/// `serve_compute;profile;dedup;guest_sim` counts toward `guest_sim`.
+pub const DEFAULT_HOT_SPANS: &[&str] =
+    &["eventq_drain", "guest_sim", "host_engines", "serve_compute"];
 
 /// Default regression threshold: a watched span failing with more than
 /// this much per-call self-time growth fails the gate.

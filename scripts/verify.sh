@@ -45,6 +45,16 @@ fi
 rm -f "$DET_A" "$DET_B"
 echo "verify: block tier byte-identical across thread counts"
 
+# Layer attribution: the self-profile (a span table on stderr) must book
+# host-engine time to its own host_engines span, not to eventq_drain.
+SELF_PROFILE="$(target/release/repro fig14 --quick --self-profile 2>&1 >/dev/null)"
+if ! printf '%s\n' "$SELF_PROFILE" | grep -q 'host_engines '; then
+    echo "verify: repro --self-profile lists no host_engines span" >&2
+    printf '%s\n' "$SELF_PROFILE" >&2
+    exit 1
+fi
+echo "verify: self-profile lists the host_engines span"
+
 # Serving smoke test: boot the daemon on an ephemeral port, probe it
 # with servectl, then drain it gracefully with SIGTERM.
 PORT_FILE="$(mktemp)"

@@ -1,6 +1,8 @@
 //! The guest-trace memoization contract: the first profile of a
 //! `GuestSpec` simulates the guest; every later profile of the same spec
 //! replays the recorded stream and performs **zero** guest simulation.
+//! A stream past the trace-cache cap is the exception: it is never
+//! cached, so each profile of it simulates.
 //!
 //! "Zero simulation" is asserted through the event-queue layer itself:
 //! every serviced simulator event bumps a process-wide counter
@@ -13,7 +15,7 @@
 use gem5_profiling::prof::experiment::{profile, GuestSpec, HostSetup};
 use gem5_profiling::prof::runner::cache_stats;
 use gem5_profiling::sim::config::{CpuModel, SimMode};
-use gem5_profiling::workloads::{Scale, Workload};
+use gem5_profiling::workloads::{Microbench, Scale, Workload};
 use gem5sim_event::global_events_serviced;
 use platforms::{intel_xeon, m1_pro};
 
@@ -67,4 +69,32 @@ fn second_profile_of_same_spec_runs_zero_guest_simulation() {
     let events3 = global_events_serviced();
     assert!(events3 > events2, "a distinct spec must simulate");
     assert_eq!(stats3.misses, stats2.misses + 1);
+
+    // A stream past the trace-cache cap (mem_stride on O3 emits ~9M
+    // events) still reaches the host engines, but is never cached: every
+    // profile of it simulates again and yields the same result.
+    let over_cap = GuestSpec::new(
+        Workload::Micro(Microbench::MemStride),
+        Scale::Test,
+        CpuModel::O3,
+        SimMode::Se,
+    );
+    let big_first = profile(&over_cap, &hosts);
+    let events4 = global_events_serviced();
+    let big_second = profile(&over_cap, &hosts);
+    let stats4 = cache_stats();
+    assert!(
+        global_events_serviced() > events4,
+        "an uncached stream must simulate again"
+    );
+    assert_eq!(stats4.misses, stats3.misses + 2);
+    assert_eq!(stats4.hits, stats3.hits);
+    assert_eq!(
+        (stats4.insertions, stats4.resident_events),
+        (stats3.insertions, stats3.resident_events),
+        "an over-cap stream must not be cached"
+    );
+    assert_eq!(big_first.guest, big_second.guest);
+    assert_eq!(big_first.hosts, big_second.hosts);
+    assert_eq!(big_first.profile, big_second.profile);
 }
