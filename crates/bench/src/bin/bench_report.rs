@@ -6,10 +6,9 @@
 //! ```
 //!
 //! Every input (the `loadgen --json` reports and the `tier_bench --json`
-//! summary) is parsed with `minjson::parse`, and `coalescing_speedup`
-//! is computed from the two parsed `throughput_rps` values. A missing
-//! or malformed input exits 1 naming the file, and nothing is printed,
-//! so a failed run is never stitched into the report.
+//! summary) is parsed with `minjson::parse`. A missing or malformed
+//! input exits 1 naming the file, and nothing is printed, so a failed
+//! run is never stitched into the report.
 
 use gem5prof_served::minjson::{self, Json};
 use std::path::Path;
@@ -20,31 +19,9 @@ fn load(dir: &Path, name: &str) -> Result<Json, String> {
     minjson::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn throughput(report: &Json, name: &str) -> Result<f64, String> {
-    report
-        .get("throughput_rps")
-        .and_then(Json::as_f64)
-        .filter(|&rps| rps > 0.0)
-        .ok_or_else(|| format!("{name}.json: no positive throughput_rps"))
-}
-
 fn build(dir: &Path, fleet_computes: u64) -> Result<Json, String> {
-    let coalesced = load(dir, "coalesced")?;
-    let no_coalesce = load(dir, "no_coalesce")?;
-    let speedup = throughput(&coalesced, "coalesced")? / throughput(&no_coalesce, "no_coalesce")?;
     Ok(Json::obj(vec![
         ("steady_state", load(dir, "steady")?),
-        (
-            "duplicate_heavy_cold",
-            Json::obj(vec![
-                ("coalesced", coalesced),
-                ("no_coalesce", no_coalesce),
-                (
-                    "coalescing_speedup",
-                    Json::Num((speedup * 100.0).round() / 100.0),
-                ),
-            ]),
-        ),
         (
             "cluster_duplicate_heavy",
             Json::obj(vec![

@@ -17,8 +17,8 @@
 //! `F`, deterministically in the (client, request) pair, and cycles
 //! through the remaining paths otherwise. With `F` near 1 every client
 //! hammers one key at once — the workload single-flight coalescing is
-//! built for: a coalescing server computes the hot key once, a
-//! `--no-coalesce` server once per concurrent duplicate.
+//! built for: the server computes the hot key once, however many
+//! clients ask for it concurrently.
 //!
 //! Reports throughput, latency percentiles (plus the +Inf overflow
 //! count, so a saturated histogram is visible instead of silently

@@ -328,7 +328,6 @@ pub fn soak_seed(seed: u64, cfg: &SoakConfig) -> SeedOutcome {
         queue_cap: 16,
         cache_cap: 64,
         cache_dir: Some(cache_dir.clone()),
-        coalesce: true,
         deadline: Duration::from_secs(5),
         worker_delay: Duration::ZERO,
         // A per-episode profstore so snapshot captures and their torn
@@ -552,7 +551,6 @@ pub fn cluster_soak_seed(seed: u64, cfg: &SoakConfig, nodes: usize) -> SeedOutco
                 queue_cap: 16,
                 cache_cap: 64,
                 cache_dir: Some(base.join(format!("node{i}"))),
-                coalesce: true,
                 deadline: Duration::from_secs(5),
                 node_id: Some(format!("soak-node-{i}")),
                 ..ServeConfig::default()

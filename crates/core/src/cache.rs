@@ -1,73 +1,17 @@
-//! Reusable cache instrumentation and a bounded LRU map.
+//! One bounded, weighted LRU map for both of the process's caches.
 //!
-//! Two consumers share this module: the guest-trace memoization cache in
-//! [`crate::runner`] (unbounded map, entries capped by event count) and
-//! the serving layer's result cache (`gem5prof-served`), which stores
-//! rendered responses keyed by canonicalized experiment spec. Both report
-//! through [`CacheStats`] — a set of atomic counters with a consistent
-//! [`snapshot`](CacheStats::snapshot) — so tools like `/stats` can print
-//! every cache in the process in the same shape.
+//! The guest-trace cache in [`crate::runner`] weighs each recorded
+//! stream by its event count, so one constant bounds the events held
+//! across all streams; the serving layer's result cache
+//! (`gem5prof-served`) weighs each rendered response 1, so its capacity
+//! counts entries. Each wraps one [`LruCache`] in one `Mutex` and
+//! reports its [`CacheSnapshot`], so `/stats` and `/metrics` print every
+//! cache in the process in the same shape.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::hash::Hash;
 
-/// Atomic hit/miss/insertion/eviction counters for one cache.
-///
-/// `const`-constructible so caches can embed it in a `static`; cheap to
-/// bump from any thread; read via [`snapshot`](CacheStats::snapshot).
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl CacheStats {
-    /// A zeroed counter set.
-    pub const fn new() -> Self {
-        CacheStats {
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Records a lookup that was served from the cache.
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a lookup that missed.
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a new entry entering the cache.
-    pub fn record_insertion(&self) {
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an entry leaving the cache to make room.
-    pub fn record_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of all counters.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-value counters captured by [`CacheStats::snapshot`].
+/// Hit/miss/insertion/eviction counters of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheSnapshot {
     /// Lookups served from the cache.
@@ -89,15 +33,6 @@ impl CacheSnapshot {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Adds another snapshot's counters into this one (used to
-    /// aggregate per-shard snapshots into a cache-wide view).
-    pub fn merge(&mut self, other: &CacheSnapshot) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
     }
 
     /// This snapshot as metric samples named `<prefix>_{hits,misses,
@@ -129,22 +64,32 @@ impl CacheSnapshot {
     }
 }
 
-/// A bounded least-recently-used map with embedded [`CacheStats`].
+/// One resident value with its recency tick and weight.
+#[derive(Debug)]
+struct Entry<V> {
+    tick: u64,
+    weight: usize,
+    value: V,
+}
+
+/// A least-recently-used map bounded by the sum of its entries'
+/// weights, with plain [`CacheSnapshot`] counters.
 ///
 /// Recency is tracked with a monotone tick per access; eviction scans for
 /// the minimum tick. That is O(len) per eviction, which is fine at the
-/// few-hundred-entry capacities the serving layer uses — simplicity and
-/// zero dependencies beat an intrusive list here.
+/// few-hundred-entry sizes both caches reach — simplicity and zero
+/// dependencies beat an intrusive list here.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     cap: usize,
+    weight: usize,
     tick: u64,
-    map: HashMap<K, (u64, V)>,
-    stats: CacheStats,
+    map: HashMap<K, Entry<V>>,
+    stats: CacheSnapshot,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
-    /// Creates a cache holding at most `cap` entries.
+    /// Creates a cache whose entries' weights sum to at most `cap`.
     ///
     /// # Panics
     ///
@@ -153,9 +98,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         assert!(cap > 0, "LruCache capacity must be positive");
         LruCache {
             cap,
+            weight: 0,
             tick: 0,
             map: HashMap::new(),
-            stats: CacheStats::new(),
+            stats: CacheSnapshot::default(),
         }
     }
 
@@ -163,35 +109,56 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     pub fn get(&mut self, key: &K) -> Option<V> {
         self.tick += 1;
         match self.map.get_mut(key) {
-            Some((t, v)) => {
-                *t = self.tick;
-                self.stats.record_hit();
-                Some(v.clone())
+            Some(e) => {
+                e.tick = self.tick;
+                self.stats.hits += 1;
+                Some(e.value.clone())
             }
             None => {
-                self.stats.record_miss();
+                self.stats.misses += 1;
                 None
             }
         }
     }
 
-    /// Inserts `key → value`, evicting the least-recently-used entry if
-    /// the cache is full and `key` is new.
-    pub fn insert(&mut self, key: K, value: V) {
+    /// Inserts `key → value` at `weight`, first evicting
+    /// least-recently-used entries until the total weight fits the
+    /// capacity. A resident `key` is replaced, not counted as a new
+    /// insertion. An entry heavier than the whole capacity is refused
+    /// and leaves the cache unchanged.
+    pub fn insert(&mut self, key: K, value: V, weight: usize) {
+        if weight > self.cap {
+            return;
+        }
         self.tick += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.cap {
-            if let Some(victim) = self
+        let replaced = self.map.remove(&key);
+        if let Some(old) = &replaced {
+            self.weight -= old.weight;
+        }
+        while self.weight + weight > self.cap {
+            // Resident weight is positive here, so the map is non-empty.
+            let Some(victim) = self
                 .map
                 .iter()
-                .min_by_key(|(_, (t, _))| *t)
+                .min_by_key(|(_, e)| e.tick)
                 .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-                self.stats.record_eviction();
+            else {
+                break;
+            };
+            if let Some(e) = self.map.remove(&victim) {
+                self.weight -= e.weight;
+                self.stats.evictions += 1;
             }
         }
-        if self.map.insert(key, (self.tick, value)).is_none() {
-            self.stats.record_insertion();
+        self.weight += weight;
+        let entry = Entry {
+            tick: self.tick,
+            weight,
+            value,
+        };
+        self.map.insert(key, entry);
+        if replaced.is_none() {
+            self.stats.insertions += 1;
         }
     }
 
@@ -205,22 +172,19 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Maximum entries.
+    /// Sum of the resident entries' weights.
+    pub fn weight(&self) -> usize {
+        self.weight
+    }
+
+    /// Maximum total weight.
     pub fn capacity(&self) -> usize {
         self.cap
     }
 
     /// The cache's counters.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Visits every resident entry (recency untouched, no hit/miss
-    /// accounting). Iteration order is unspecified.
-    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        for (k, (_, v)) in &self.map {
-            f(k, v);
-        }
+    pub fn stats(&self) -> CacheSnapshot {
+        self.stats
     }
 
     /// Empties the cache. Counters keep their running totals and the
@@ -228,154 +192,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// to make room).
     pub fn clear(&mut self) {
         self.map.clear();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded LRU
-// ---------------------------------------------------------------------
-
-/// Picks a shard count for a cache of `cap` entries: one shard per
-/// available core, rounded up to a power of two, capped at 64 and never
-/// more than `cap` (every shard must be able to hold at least one
-/// entry). More shards than cores only adds memory overhead; fewer
-/// serializes independent lookups behind one mutex.
-pub fn default_shards(cap: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    cores.next_power_of_two().min(64).min(cap).max(1)
-}
-
-/// A concurrent LRU: `N` independently-mutexed [`LruCache`] shards,
-/// keys distributed by hash. A lookup or insert locks exactly one
-/// shard, so the single-`Mutex<LruCache>` convoy the serving layer's
-/// result cache used to bottleneck on becomes per-shard contention
-/// only between keys that actually collide.
-///
-/// Capacity is partitioned across shards (summing exactly to `cap`),
-/// so the total resident count can never exceed `cap`. Eviction is
-/// per-shard LRU: a skewed key distribution can evict from a full
-/// shard while another has room, which is the standard sharding
-/// trade-off — bounded memory and bounded lock hold times in exchange
-/// for approximate global recency.
-///
-/// With one shard this is behaviorally identical to [`LruCache`]
-/// (the property suite in `crates/core/tests/cache_props.rs` pins
-/// that, plus the capacity and stats-aggregation invariants).
-#[derive(Debug)]
-pub struct ShardedLru<K, V> {
-    shards: Vec<Mutex<LruCache<K, V>>>,
-    cap: usize,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
-    /// Creates a cache of at most `cap` entries across `shards` shards.
-    /// `shards` is clamped to `[1, cap]`; capacity is split as evenly
-    /// as possible (the first `cap % shards` shards hold one extra).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn new(shards: usize, cap: usize) -> Self {
-        assert!(cap > 0, "ShardedLru capacity must be positive");
-        let n = shards.clamp(1, cap);
-        let shards = (0..n)
-            .map(|i| {
-                let shard_cap = cap / n + usize::from(i < cap % n);
-                Mutex::new(LruCache::new(shard_cap))
-            })
-            .collect();
-        ShardedLru { shards, cap }
-    }
-
-    /// Creates a cache with [`default_shards`] shards.
-    pub fn with_default_shards(cap: usize) -> Self {
-        Self::new(default_shards(cap), cap)
-    }
-
-    /// The shard `key` lives in. SipHash via the std default hasher,
-    /// deterministically keyed, so shard assignment is stable for the
-    /// process lifetime (which is all the disk tier's promote path and
-    /// the property tests need).
-    fn shard(&self, key: &K) -> MutexGuard<'_, LruCache<K, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        let i = (h.finish() % self.shards.len() as u64) as usize;
-        self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Looks up `key`, refreshing its recency within its shard.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.shard(key).get(key)
-    }
-
-    /// Inserts `key → value`, evicting within the key's shard if full.
-    pub fn insert(&self, key: K, value: V) {
-        self.shard(&key).insert(key, value);
-    }
-
-    /// Entries resident across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total capacity (the sum of per-shard capacities).
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Cache-wide counters: the sum of every shard's [`CacheStats`].
-    pub fn snapshot(&self) -> CacheSnapshot {
-        let mut total = CacheSnapshot::default();
-        for s in &self.shards {
-            total.merge(
-                &s.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .stats()
-                    .snapshot(),
-            );
-        }
-        total
-    }
-
-    /// Per-shard snapshots, in shard order (for tests and debugging).
-    pub fn shard_snapshots(&self) -> Vec<CacheSnapshot> {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .stats()
-                    .snapshot()
-            })
-            .collect()
-    }
-
-    /// Visits every resident entry across all shards (recency and
-    /// counters untouched). Shards are locked one at a time.
-    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        for s in &self.shards {
-            s.lock().unwrap_or_else(|e| e.into_inner()).for_each(&mut f);
-        }
-    }
-
-    /// Empties every shard (counters keep running totals).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
+        self.weight = 0;
     }
 }
 
@@ -384,115 +201,55 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_tracks_counters() {
-        let s = CacheStats::new();
-        s.record_hit();
-        s.record_hit();
-        s.record_miss();
-        s.record_insertion();
-        s.record_eviction();
-        let snap = s.snapshot();
-        assert_eq!(
-            snap,
-            CacheSnapshot {
-                hits: 2,
-                misses: 1,
-                insertions: 1,
-                evictions: 1,
-            }
-        );
-        assert!((snap.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(CacheSnapshot::default().hit_rate(), 0.0);
-    }
-
-    #[test]
     fn lru_evicts_least_recently_used() {
         let mut c: LruCache<&str, u32> = LruCache::new(2);
-        c.insert("a", 1);
-        c.insert("b", 2);
+        c.insert("a", 1, 1);
+        c.insert("b", 2, 1);
         assert_eq!(c.get(&"a"), Some(1)); // refresh a; b is now LRU
-        c.insert("c", 3);
+        c.insert("c", 3, 1);
         assert_eq!(c.get(&"b"), None, "b should have been evicted");
         assert_eq!(c.get(&"a"), Some(1));
         assert_eq!(c.get(&"c"), Some(3));
-        let snap = c.stats().snapshot();
+        let snap = c.stats();
         assert_eq!(snap.evictions, 1);
         assert_eq!(snap.insertions, 3);
         assert_eq!(snap.misses, 1);
         assert_eq!(snap.hits, 3);
+        assert!((snap.hit_rate() - 0.75).abs() < 1e-12);
+        assert_eq!(CacheSnapshot::default().hit_rate(), 0.0);
     }
 
     #[test]
     fn reinsert_updates_without_eviction() {
         let mut c: LruCache<u32, u32> = LruCache::new(1);
-        c.insert(7, 1);
-        c.insert(7, 2);
+        c.insert(7, 1, 1);
+        c.insert(7, 2, 1);
         assert_eq!(c.get(&7), Some(2));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.stats().snapshot().evictions, 0);
-        assert_eq!(c.stats().snapshot().insertions, 1);
+        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(c.stats().insertions, 1);
+    }
+
+    #[test]
+    fn weight_bounds_the_total_and_heavy_entries_are_refused() {
+        let mut c: LruCache<u32, u32> = LruCache::new(10);
+        c.insert(1, 1, 4);
+        c.insert(2, 2, 4);
+        assert_eq!(c.weight(), 8);
+        // 8 + 5 > 10: the LRU entry (1) goes, the total stays bounded.
+        c.insert(3, 3, 5);
+        assert_eq!((c.get(&1), c.weight(), c.len()), (None, 9, 2));
+        // Heavier than the whole cache: refused, nothing displaced.
+        c.insert(4, 4, 11);
+        assert_eq!((c.get(&4), c.weight(), c.len()), (None, 9, 2));
+        c.clear();
+        assert_eq!((c.weight(), c.len()), (0, 0));
+        assert_eq!(c.stats().insertions, 3, "counters survive clear");
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = LruCache::<u32, u32>::new(0);
-    }
-
-    #[test]
-    fn sharded_capacity_partitions_exactly() {
-        for (shards, cap) in [(1, 1), (4, 10), (8, 8), (16, 7), (64, 100)] {
-            let c: ShardedLru<u64, u64> = ShardedLru::new(shards, cap);
-            assert_eq!(c.capacity(), cap, "shards={shards} cap={cap}");
-            assert!(c.shard_count() <= cap, "a shard must hold ≥ 1 entry");
-            assert_eq!(c.shard_count(), shards.min(cap));
-        }
-    }
-
-    #[test]
-    fn sharded_get_insert_and_aggregate_stats() {
-        let c: ShardedLru<u64, u64> = ShardedLru::new(4, 64);
-        for k in 0..32u64 {
-            c.insert(k, k * 10);
-        }
-        assert_eq!(c.len(), 32);
-        for k in 0..32u64 {
-            assert_eq!(c.get(&k), Some(k * 10));
-        }
-        assert_eq!(c.get(&999), None);
-        let snap = c.snapshot();
-        assert_eq!(snap.hits, 32);
-        assert_eq!(snap.misses, 1);
-        assert_eq!(snap.insertions, 32);
-        assert_eq!(snap.evictions, 0);
-        // The aggregate is exactly the sum of the per-shard snapshots.
-        let mut summed = CacheSnapshot::default();
-        for s in c.shard_snapshots() {
-            summed.merge(&s);
-        }
-        assert_eq!(snap, summed);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.snapshot().insertions, 32, "counters survive clear");
-    }
-
-    #[test]
-    fn sharded_len_never_exceeds_capacity() {
-        let c: ShardedLru<u64, u64> = ShardedLru::new(4, 10);
-        for k in 0..1000u64 {
-            c.insert(k, k);
-            assert!(c.len() <= c.capacity(), "len {} > cap {}", c.len(), 10);
-        }
-        let snap = c.snapshot();
-        assert_eq!(snap.insertions - snap.evictions, c.len() as u64);
-    }
-
-    #[test]
-    fn default_shard_heuristic_is_bounded() {
-        for cap in [1, 2, 7, 256, 100_000] {
-            let n = default_shards(cap);
-            assert!((1..=64).contains(&n));
-            assert!(n <= cap);
-        }
     }
 }

@@ -4,9 +4,10 @@
 //! first call simulates the guest, streaming the post-adapter events into
 //! the host engines and recording them; later calls for the same spec
 //! feed the recorded stream into fresh host engines without touching the
-//! simulator. Both paths hand the engines the identical stream through
-//! [`hosttrace::record::feed`], so results never depend on whether they
-//! were simulated or served from cache.
+//! simulator, for as long as the stream stays in the trace cache (whose
+//! total [`TRACE_CACHE_CAP`] bounds). Both paths hand the engines the
+//! identical stream through [`hosttrace::record::feed`], so results never
+//! depend on whether they were simulated or served from cache.
 
 use crate::runner::{self, CachedGuest, TRACE_CACHE_CAP};
 use gem5sim::config::{CpuModel, SimMode, SystemConfig};
@@ -176,7 +177,7 @@ pub(crate) fn registry_for(binary: BinaryVariant, backing: PageBacking) -> Arc<R
 ///
 /// Memoized: the first profile of a [`GuestSpec`] records the stream;
 /// subsequent profiles of the same spec replay it into the new host
-/// engines and perform zero guest simulation.
+/// engines and perform zero guest simulation until it is evicted.
 pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
     assert!(!hosts.is_empty(), "at least one host setup required");
     let _span = gem5prof_obs::span("profile");

@@ -45,7 +45,7 @@ pub mod report;
 pub mod runner;
 pub mod spec;
 
-pub use cache::{CacheSnapshot, CacheStats, LruCache, ShardedLru};
+pub use cache::{CacheSnapshot, LruCache};
 pub use experiment::{profile, profile_spec, GuestSpec, HostSetup, ProfileRun};
 pub use report::{geomean, Table};
 pub use runner::{

@@ -5,10 +5,12 @@
 //! 9 workloads × 4 CPU models × platforms × co-run scenarios — but each
 //! point was historically profiled sequentially. [`parallel_map`] fans a
 //! work list across cores with scoped threads and work stealing, and the
-//! [trace cache](cache_stats) makes each [`GuestSpec`] guest simulation
-//! whose post-adapter event stream has at most `TRACE_CACHE_CAP` events
-//! run at most once per process: the stream is recorded and fed into
-//! the host engines of every later profile of the same spec.
+//! [trace cache](cache_stats) records each [`GuestSpec`]'s post-adapter
+//! event stream and feeds it into the host engines of every later
+//! profile of the same spec, so the guest simulation runs once while its
+//! stream stays cached. [`TRACE_CACHE_CAP`] bounds both one stream and
+//! the whole cache: a longer stream is never cached, and the least
+//! recently used streams are evicted once the cached total would pass it.
 //!
 //! Determinism contract: `parallel_map(items, f)[i] == f(&items[i])`,
 //! assembled in input order, for any thread count and any interleaving.
@@ -20,7 +22,7 @@
 //! [`set_threads`], then the `GEM5PROF_THREADS` environment variable,
 //! then [`std::thread::available_parallelism`].
 
-use crate::cache::ShardedLru;
+use crate::cache::LruCache;
 use crate::experiment::GuestSpec;
 use gem5sim::system::SimResult;
 use gem5sim::ExecTier;
@@ -302,14 +304,13 @@ pub(crate) struct CachedGuest {
     pub events: Vec<TraceEvent>,
 }
 
-/// Cap on cached events per guest simulation (24 B per `TraceEvent`, so
-/// ≤ 192 MB per entry). Longer streams reach the host engines, uncached.
-pub(crate) const TRACE_CACHE_CAP: usize = 8_000_000;
+/// Bound on the trace cache, in events (24 B per `TraceEvent`, so the
+/// cached streams together hold at most 192 MB). A stream longer than
+/// this reaches the host engines uncached; shorter ones are cached, and
+/// the least recently used are evicted once the total would pass it.
+pub const TRACE_CACHE_CAP: usize = 8_000_000;
 
 /// Running totals for the trace cache, readable by tests and tools.
-///
-/// A flattened view of the shared [`CacheStats`] counters plus the
-/// trace-cache-specific resident-event gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCacheStats {
     /// Profiles served by replaying a cached stream (no guest simulation).
@@ -318,63 +319,55 @@ pub struct TraceCacheStats {
     pub misses: u64,
     /// Streams inserted into the cache.
     pub insertions: u64,
-    /// Events currently resident across all cached streams.
+    /// Streams evicted to keep the cache within [`TRACE_CACHE_CAP`].
+    pub evictions: u64,
+    /// Events currently resident across all cached streams (at most
+    /// [`TRACE_CACHE_CAP`]).
     pub resident_events: u64,
 }
 
-/// Entry bound for the trace cache. The spec space (workloads × scales
-/// × CPU models × modes) is a few hundred points, so this never evicts
-/// in practice; the bound exists so a pathological caller cannot grow
-/// the cache without limit.
-const TRACE_CACHE_ENTRIES: usize = 4096;
-
-/// The memoized guest streams, sharded by spec hash so concurrent
-/// profiles (the serving daemon's worker pool, `parallel_map` fan-outs)
-/// stop serializing on one cache mutex. The embedded per-shard
-/// [`crate::cache::CacheStats`] are the single source of truth for
-/// [`cache_stats`], `/stats`, and `/metrics`.
-fn cache() -> &'static ShardedLru<GuestSpec, Arc<CachedGuest>> {
-    static CACHE: OnceLock<ShardedLru<GuestSpec, Arc<CachedGuest>>> = OnceLock::new();
-    CACHE.get_or_init(|| {
+/// The memoized guest streams, each weighted by its event count. Its
+/// counters are the single source of truth for [`cache_stats`],
+/// `/stats`, and `/metrics`.
+fn cache() -> MutexGuard<'static, LruCache<GuestSpec, Arc<CachedGuest>>> {
+    static CACHE: OnceLock<Mutex<LruCache<GuestSpec, Arc<CachedGuest>>>> = OnceLock::new();
+    lock(CACHE.get_or_init(|| {
         // First touch of the trace cache: surface its counters in the
-        // metrics registry. The collector reads the same sharded-cache
-        // counters the `/stats` endpoint reports, so there is exactly
-        // one set of counters behind both views.
+        // metrics registry, read from the same cache `/stats` reports.
         gem5prof_obs::global().register_collector(Box::new(|| {
-            let stats = cache_stats();
-            let mut samples = cache().snapshot().metric_samples("gem5prof_trace_cache");
+            let cache = cache();
+            let mut samples = cache.stats().metric_samples("gem5prof_trace_cache");
             samples.push(gem5prof_obs::Sample::plain(
                 "gem5prof_trace_cache_resident_events",
                 "events currently resident across all cached guest streams",
                 gem5prof_obs::MetricKind::Gauge,
-                stats.resident_events as f64,
+                cache.weight() as f64,
             ));
             samples
         }));
-        ShardedLru::with_default_shards(TRACE_CACHE_ENTRIES)
-    })
+        Mutex::new(LruCache::new(TRACE_CACHE_CAP))
+    }))
 }
 
 pub(crate) fn cache_lookup(spec: &GuestSpec) -> Option<Arc<CachedGuest>> {
     cache().get(spec)
 }
 
-pub(crate) fn cache_insert(spec: GuestSpec, entry: CachedGuest) -> Arc<CachedGuest> {
-    let entry = Arc::new(entry);
-    cache().insert(spec, Arc::clone(&entry));
-    entry
+pub(crate) fn cache_insert(spec: GuestSpec, entry: CachedGuest) {
+    let weight = entry.events.len();
+    cache().insert(spec, Arc::new(entry), weight);
 }
 
 /// Current trace-cache counters.
 pub fn cache_stats() -> TraceCacheStats {
-    let mut resident: u64 = 0;
-    cache().for_each(|_, e| resident += e.events.len() as u64);
-    let snap = cache().snapshot();
+    let cache = cache();
+    let snap = cache.stats();
     TraceCacheStats {
         hits: snap.hits,
         misses: snap.misses,
         insertions: snap.insertions,
-        resident_events: resident,
+        evictions: snap.evictions,
+        resident_events: cache.weight() as u64,
     }
 }
 

@@ -1,231 +1,104 @@
-//! Property tests for `gem5prof::cache::ShardedLru`, pinning the
-//! invariants the serving layer's result cache and the runner's trace
-//! cache both lean on:
+//! Property test for `gem5prof::cache::LruCache`, the weighted LRU both
+//! the serving layer's result cache (weight 1 per entry) and the
+//! runner's trace cache (weight = events per stream) sit on.
 //!
-//! 1. a one-shard `ShardedLru` is byte-for-byte the plain [`LruCache`]
-//!    (same get results, same final contents, same stats) — sharding is
-//!    purely a locking strategy, not a semantics change;
-//! 2. at any shard count, with no evictions in play, every shard count
-//!    observes the identical get/insert history (shard-count
-//!    invariance);
-//! 3. occupancy never exceeds capacity — globally or per shard — no
-//!    matter the operation sequence;
-//! 4. the aggregate snapshot is exactly the sum of the per-shard
-//!    snapshots, and accounts for every operation performed.
+//! Random get/insert sequences with random weights run against a plain
+//! model that keeps its entries in a `Vec`, least recently used first.
+//! After every call the cache must agree with the model on the lookup
+//! result, the counters, the entry count and the total weight; the total
+//! weight never exceeds the capacity; and residency is insertions minus
+//! evictions.
 
-use gem5prof::cache::{LruCache, ShardedLru};
-use std::collections::HashMap;
+use gem5prof::cache::{CacheSnapshot, LruCache};
 use testkit::{prop_assert, prop_assert_eq, run_cases};
 
-/// A generated op sequence over a small key universe (collisions and
-/// re-inserts are the interesting cases).
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Get(u64),
-    Insert(u64),
+/// The reference LRU: `(key, value, weight)` in recency order, least
+/// recently used first.
+struct Model {
+    cap: usize,
+    entries: Vec<(u64, String, usize)>,
+    stats: CacheSnapshot,
 }
 
-fn gen_ops(g: &mut testkit::Gen, len: usize, keys: u64) -> Vec<Op> {
-    (0..len)
-        .map(|_| {
+impl Model {
+    fn weight(&self) -> usize {
+        self.entries.iter().map(|e| e.2).sum()
+    }
+
+    fn get(&mut self, key: u64) -> Option<String> {
+        match self.entries.iter().position(|e| e.0 == key) {
+            Some(i) => {
+                let e = self.entries.remove(i);
+                let value = e.1.clone();
+                self.entries.push(e);
+                self.stats.hits += 1;
+                Some(value)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn insert(&mut self, key: u64, value: String, weight: usize) {
+        if weight > self.cap {
+            return;
+        }
+        let resident = self.entries.iter().position(|e| e.0 == key);
+        if let Some(i) = resident {
+            self.entries.remove(i);
+        }
+        while self.weight() + weight > self.cap {
+            self.entries.remove(0);
+            self.stats.evictions += 1;
+        }
+        self.entries.push((key, value, weight));
+        if resident.is_none() {
+            self.stats.insertions += 1;
+        }
+    }
+}
+
+#[test]
+fn weighted_lru_matches_the_vec_model() {
+    run_cases("weighted_lru_matches_the_vec_model", 256, |g| {
+        let cap = g.usize_in(1..40);
+        let keys = g.u64_in(1..24);
+        let mut cache: LruCache<u64, String> = LruCache::new(cap);
+        let mut model = Model {
+            cap,
+            entries: Vec::new(),
+            stats: CacheSnapshot::default(),
+        };
+        for step in 0..300 {
             let key = g.u64_in(0..keys);
             if g.bool() {
-                Op::Get(key)
+                prop_assert_eq!(cache.get(&key), model.get(key), "get({key}) at step {step}");
             } else {
-                Op::Insert(key)
+                // Occasionally heavier than the whole cache (refused),
+                // occasionally weightless.
+                let weight = g.usize_in(0..cap + 3);
+                // The step in the value exposes a stale replaced entry.
+                let value = format!("{key}@{step}");
+                cache.insert(key, value.clone(), weight);
+                model.insert(key, value, weight);
             }
-        })
-        .collect()
-}
-
-/// Value stored for a key: deterministic in the key so equality checks
-/// are meaningful.
-fn val(key: u64) -> String {
-    format!("value-{key}")
-}
-
-#[test]
-fn one_shard_matches_the_plain_lru_oracle() {
-    run_cases("one_shard_matches_the_plain_lru_oracle", 128, |g| {
-        let cap = g.usize_in(1..24);
-        let ops = gen_ops(g, 200, 32);
-        let sharded: ShardedLru<u64, String> = ShardedLru::new(1, cap);
-        let mut oracle: LruCache<u64, String> = LruCache::new(cap);
-        for op in ops {
-            match op {
-                Op::Get(k) => {
-                    prop_assert_eq!(sharded.get(&k), oracle.get(&k));
-                }
-                Op::Insert(k) => {
-                    sharded.insert(k, val(k));
-                    oracle.insert(k, val(k));
-                }
-            }
-        }
-        prop_assert_eq!(sharded.len(), oracle.len());
-        // Final contents are identical, not just same-sized: collect
-        // both sides and compare as maps (iteration order differs).
-        let mut a = HashMap::new();
-        sharded.for_each(|k, v| {
-            a.insert(*k, v.clone());
-        });
-        let mut b = HashMap::new();
-        oracle.for_each(|k, v| {
-            b.insert(*k, v.clone());
-        });
-        prop_assert_eq!(a, b);
-        // Same history → same counters.
-        let s = sharded.snapshot();
-        let o = oracle.stats().snapshot();
-        prop_assert_eq!(s.hits, o.hits);
-        prop_assert_eq!(s.misses, o.misses);
-        prop_assert_eq!(s.insertions, o.insertions);
-        prop_assert_eq!(s.evictions, o.evictions);
-        Ok(())
-    });
-}
-
-#[test]
-fn shard_count_does_not_change_observable_behavior() {
-    run_cases("shard_count_does_not_change_observable_behavior", 96, |g| {
-        // Every *shard* can hold the whole key universe (capacity is
-        // partitioned exactly across shards, so per-shard headroom is
-        // what rules out eviction — the one legitimately shard-dependent
-        // behavior, since LRU order is kept per shard). With eviction
-        // off the table, every shard count must agree with the
-        // unsharded oracle on every single get.
-        let keys = g.u64_in(4..24);
-        let shard_counts = [1usize, 2, 3, 7, 16];
-        let cap = keys as usize * shard_counts[shard_counts.len() - 1];
-        let ops = gen_ops(g, 150, keys);
-        let caches: Vec<ShardedLru<u64, String>> = shard_counts
-            .iter()
-            .map(|&n| ShardedLru::new(n, cap))
-            .collect();
-        let mut oracle: LruCache<u64, String> = LruCache::new(cap);
-        for op in ops {
-            match op {
-                Op::Get(k) => {
-                    let expect = oracle.get(&k);
-                    for (c, &n) in caches.iter().zip(&shard_counts) {
-                        prop_assert_eq!(
-                            c.get(&k),
-                            expect.clone(),
-                            "get({k}) diverged at {n} shards"
-                        );
-                    }
-                }
-                Op::Insert(k) => {
-                    oracle.insert(k, val(k));
-                    for c in &caches {
-                        c.insert(k, val(k));
-                    }
-                }
-            }
-        }
-        for (c, &n) in caches.iter().zip(&shard_counts) {
-            prop_assert_eq!(c.len(), oracle.len(), "len diverged at {n} shards");
-            let s = c.snapshot();
+            let s = cache.stats();
+            prop_assert_eq!(s, model.stats, "counters at step {step}");
+            prop_assert_eq!(cache.len(), model.entries.len(), "len at step {step}");
+            prop_assert_eq!(cache.weight(), model.weight(), "weight at step {step}");
+            prop_assert!(
+                cache.weight() <= cache.capacity(),
+                "weight {} over capacity {cap} at step {step}",
+                cache.weight()
+            );
             prop_assert_eq!(
-                s.evictions,
-                0,
-                "evictions at {n} shards despite full capacity"
-            );
-            let o = oracle.stats().snapshot();
-            prop_assert_eq!(s.hits, o.hits, "hits diverged at {n} shards");
-            prop_assert_eq!(s.misses, o.misses, "misses diverged at {n} shards");
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn capacity_is_never_exceeded() {
-    run_cases("capacity_is_never_exceeded", 128, |g| {
-        // Deliberately more keys than capacity so eviction churns.
-        let cap = g.usize_in(1..16);
-        let shards = g.usize_in(1..32);
-        let cache: ShardedLru<u64, String> = ShardedLru::new(shards, cap);
-        prop_assert_eq!(
-            cache.capacity(),
-            cap,
-            "shard capacity partitioning must preserve the total"
-        );
-        for op in gen_ops(g, 300, 64) {
-            match op {
-                Op::Get(k) => {
-                    cache.get(&k);
-                }
-                Op::Insert(k) => cache.insert(k, val(k)),
-            }
-            prop_assert!(
-                cache.len() <= cache.capacity(),
-                "len {} exceeded capacity {}",
+                (s.insertions - s.evictions) as usize,
                 cache.len(),
-                cache.capacity()
+                "residency must equal insertions minus evictions"
             );
         }
-        // Per-shard bound too: the shard snapshots expose insertions and
-        // evictions, and residency is insertions minus evictions.
-        for (i, s) in cache.shard_snapshots().iter().enumerate() {
-            let resident = s.insertions - s.evictions;
-            prop_assert!(
-                resident <= cache.capacity() as u64,
-                "shard {i} holds {resident} entries over total capacity"
-            );
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn aggregate_stats_are_the_sum_of_shard_stats() {
-    run_cases("aggregate_stats_are_the_sum_of_shard_stats", 128, |g| {
-        let cap = g.usize_in(1..32);
-        let shards = g.usize_in(1..16);
-        let cache: ShardedLru<u64, String> = ShardedLru::new(shards, cap);
-        let ops = gen_ops(g, 250, 48);
-        let (mut gets, mut inserts) = (0u64, 0u64);
-        for op in ops {
-            match op {
-                Op::Get(k) => {
-                    cache.get(&k);
-                    gets += 1;
-                }
-                Op::Insert(k) => {
-                    cache.insert(k, val(k));
-                    inserts += 1;
-                }
-            }
-        }
-        let total = cache.snapshot();
-        let mut summed = gem5prof::cache::CacheSnapshot::default();
-        for s in cache.shard_snapshots() {
-            summed.merge(&s);
-        }
-        prop_assert_eq!(total.hits, summed.hits);
-        prop_assert_eq!(total.misses, summed.misses);
-        prop_assert_eq!(total.insertions, summed.insertions);
-        prop_assert_eq!(total.evictions, summed.evictions);
-        // And the counters account for exactly the operations performed.
-        prop_assert_eq!(
-            total.hits + total.misses,
-            gets,
-            "every get is a hit or a miss"
-        );
-        // Re-inserting a resident key refreshes it without counting a
-        // new insertion, so the counter is bounded by — not equal to —
-        // the inserts issued.
-        prop_assert!(
-            total.insertions <= inserts,
-            "more insertions counted ({}) than inserts issued ({inserts})",
-            total.insertions
-        );
-        prop_assert_eq!(
-            (total.insertions - total.evictions) as usize,
-            cache.len(),
-            "residency must equal insertions minus evictions"
-        );
         Ok(())
     });
 }

@@ -29,5 +29,5 @@ pub mod stats;
 pub mod tick;
 
 pub use queue::{global_events_serviced, EventQueue, ExitStatus, Priority, ScheduleError};
-pub use stats::{Histogram, ScalarStat, StatDump, StatValue};
+pub use stats::{StatDump, StatValue};
 pub use tick::{Frequency, Tick, TICKS_PER_SEC};

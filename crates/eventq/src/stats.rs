@@ -1,111 +1,11 @@
 //! Minimal statistics framework in the style of gem5's `Stats` package.
 //!
-//! Simulation objects accumulate [`ScalarStat`]s and [`Histogram`]s and
-//! contribute them to a [`StatDump`] at the end of simulation, producing
-//! the `stats.txt`-like output users of gem5 are familiar with.
+//! Simulation objects contribute scalars and formulas to a [`StatDump`]
+//! at the end of simulation, producing the `stats.txt`-like output users
+//! of gem5 are familiar with.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// A named scalar statistic (counter or gauge).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ScalarStat {
-    value: f64,
-}
-
-impl ScalarStat {
-    /// Creates a zeroed stat.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `v` to the stat.
-    pub fn add(&mut self, v: f64) {
-        self.value += v;
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.value += 1.0;
-    }
-
-    /// Sets the stat to `v` (for gauges).
-    pub fn set(&mut self, v: f64) {
-        self.value = v;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-}
-
-/// A fixed-bucket histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bucket_width: f64,
-    buckets: Vec<u64>,
-    samples: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `nbuckets` buckets of `bucket_width` each;
-    /// values beyond the last bucket are clamped into it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nbuckets` is zero or `bucket_width` is not positive.
-    pub fn new(bucket_width: f64, nbuckets: usize) -> Self {
-        assert!(nbuckets > 0, "histogram needs at least one bucket");
-        assert!(bucket_width > 0.0, "bucket width must be positive");
-        Histogram {
-            bucket_width,
-            buckets: vec![0; nbuckets],
-            samples: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records a sample.
-    pub fn sample(&mut self, v: f64) {
-        let idx = ((v / self.bucket_width) as usize).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.samples += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Mean of all samples, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.samples > 0).then(|| self.sum / self.samples as f64)
-    }
-
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Smallest sample seen, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.samples > 0).then_some(self.min)
-    }
-
-    /// Largest sample seen, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.samples > 0).then_some(self.max)
-    }
-}
 
 /// A value recorded in a [`StatDump`].
 #[derive(Debug, Clone, PartialEq)]
@@ -179,13 +79,6 @@ impl StatDump {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Merges `other` into `self` under prefix `prefix.`.
-    pub fn merge_under(&mut self, prefix: &str, other: &StatDump) {
-        for (k, v) in other.entries.iter() {
-            self.entries.insert(format!("{prefix}.{k}"), v.clone());
-        }
-    }
 }
 
 impl fmt::Display for StatDump {
@@ -207,49 +100,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_accumulates() {
-        let mut s = ScalarStat::new();
-        s.inc();
-        s.add(2.5);
-        assert_eq!(s.value(), 3.5);
-        s.set(1.0);
-        assert_eq!(s.value(), 1.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_moments() {
-        let mut h = Histogram::new(10.0, 4);
-        for v in [1.0, 5.0, 15.0, 25.0, 95.0] {
-            h.sample(v);
-        }
-        assert_eq!(h.samples(), 5);
-        assert_eq!(h.buckets(), &[2, 1, 1, 1]); // 95 clamps into last bucket
-        assert_eq!(h.min(), Some(1.0));
-        assert_eq!(h.max(), Some(95.0));
-        let mean = h.mean().unwrap();
-        assert!((mean - 28.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_histogram_has_no_moments() {
-        let h = Histogram::new(1.0, 1);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-    }
-
-    #[test]
-    fn dump_paths_sorted_and_merged() {
-        let mut inner = StatDump::new();
-        inner.scalar("misses", 5.0);
-        inner.formula("miss_rate", 0.5, "misses/accesses");
-        let mut outer = StatDump::new();
-        outer.scalar("sim_ticks", 100.0);
-        outer.merge_under("system.l1d", &inner);
-        assert_eq!(outer.get("system.l1d.misses"), Some(5.0));
-        assert_eq!(outer.get("system.l1d.miss_rate"), Some(0.5));
-        assert_eq!(outer.len(), 3);
-        let keys: Vec<_> = outer.iter().map(|(k, _)| k.to_string()).collect();
+    fn dump_paths_sorted() {
+        let mut d = StatDump::new();
+        d.scalar("system.l1d.misses", 5.0);
+        d.formula("system.l1d.miss_rate", 0.5, "misses/accesses");
+        d.scalar("sim_ticks", 100.0);
+        assert_eq!(d.get("system.l1d.misses"), Some(5.0));
+        assert_eq!(d.get("system.l1d.miss_rate"), Some(0.5));
+        assert_eq!(d.len(), 3);
+        let keys: Vec<_> = d.iter().map(|(k, _)| k.to_string()).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);

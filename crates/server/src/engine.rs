@@ -1,11 +1,11 @@
 //! The compute engine behind the daemon: a bounded admission queue in
-//! front of a worker pool, with a tiered (sharded-memory + optional
-//! disk) result cache and single-flight request coalescing.
+//! front of a worker pool, with a tiered (memory + optional disk) result
+//! cache and single-flight request coalescing.
 //!
 //! Request flow for a compute endpoint:
 //!
 //! ```text
-//! connection thread ──► tiered cache (mem ► disk+promote) ──hit──► respond
+//! poller thread ──► tiered cache (mem ► disk+promote) ──hit──► respond
 //!        │ miss
 //!        ▼
 //! single-flight map ──key already in flight──► join waiter list,
@@ -124,10 +124,6 @@ pub(crate) struct EngineConfig {
     pub cache_cap: usize,
     /// Disk warm tier directory; `None` disables the tier.
     pub cache_dir: Option<PathBuf>,
-    /// Single-flight coalescing of identical in-flight keys. On in
-    /// production; `false` exists so benchmarks can measure the
-    /// thundering-herd baseline.
-    pub coalesce: bool,
     /// Peer nodes (addresses) whose warm tiers are consulted before a
     /// cold compute — cluster mode. Empty disables peer fetch.
     pub peers: Vec<String>,
@@ -144,7 +140,6 @@ impl EngineConfig {
             queue_cap,
             cache_cap,
             cache_dir: None,
-            coalesce: true,
             peers: Vec::new(),
             worker_delay: Duration::ZERO,
         }
@@ -360,16 +355,14 @@ impl PeerSet {
 pub(crate) struct Engine {
     /// Queue sender; taken (dropped) on drain so workers exit.
     tx: Mutex<Option<SyncSender<Job>>>,
-    /// Rendered responses keyed by canonical spec: sharded memory tier
-    /// over an optional disk warm tier.
+    /// Rendered responses keyed by canonical spec: memory tier over an
+    /// optional disk warm tier.
     cache: TieredCache,
     /// Single-flight map: canonical key → reply senders of the
     /// coalesced followers (the leader's sender rides in its [`Job`]).
     /// An entry exists exactly while one job for the key is queued or
     /// running.
     inflight: Mutex<HashMap<String, Vec<ReplyTx>>>,
-    /// Whether submissions coalesce onto in-flight keys.
-    coalesce: bool,
     /// Peer warm tiers consulted before a cold compute (cluster mode);
     /// `None` when the node has no peers.
     peers: Mutex<Option<PeerSet>>,
@@ -411,7 +404,6 @@ impl Engine {
             tx: Mutex::new(Some(tx)),
             cache: TieredCache::new(cfg.cache_cap, cfg.cache_dir.as_deref()),
             inflight: Mutex::new(HashMap::new()),
-            coalesce: cfg.coalesce,
             peers: Mutex::new(PeerSet::build(cfg.peers)),
             peer_stats: PeerStats::default(),
             computes: AtomicU64::new(0),
@@ -519,11 +511,6 @@ impl Engine {
             "gem5prof_result_cache_capacity",
             "memory-tier capacity in entries",
             self.cache.capacity() as f64,
-        ));
-        samples.push(gauge(
-            "gem5prof_result_cache_shards",
-            "memory-tier shard count",
-            self.cache.shard_count() as f64,
         ));
         samples.push(counter(
             "gem5prof_result_cache_computes_total",
@@ -633,21 +620,16 @@ impl Engine {
         self.metrics
             .queue_wait
             .observe_duration(job.enqueued.elapsed());
-        // Worker-side re-check against the full tiered cache. With
-        // coalescing on this fires only on races (an entry that landed
-        // between the submit-time lookup and the inflight registration,
-        // or a disk entry written by another process); the hit flows
-        // through the same `finish` path as a fresh compute, so both
-        // tiers are (re)warmed and every waiter is answered. With
-        // coalescing off the whole duplicate-suppression machinery is
-        // off — every dequeued job recomputes — so `--no-coalesce`
-        // measures the naive pre-coalescing engine in benchmarks.
-        if self.coalesce {
-            if let Some(body) = self.cache.get(&job.key) {
-                leader.armed = false;
-                self.finish(&job.key, &job.reply, Ok(body));
-                return;
-            }
+        // Worker-side re-check against the full tiered cache. This
+        // fires only on races (an entry that landed between the
+        // submit-time lookup and the inflight registration, or a disk
+        // entry written by another process); the hit flows through the
+        // same `finish` path as a fresh compute, so both tiers are
+        // (re)warmed and every waiter is answered.
+        if let Some(body) = self.cache.get(&job.key) {
+            leader.armed = false;
+            self.finish(&job.key, &job.reply, Ok(body));
+            return;
         }
         // Peer warm-tier fetch (cluster mode): before paying for a cold
         // compute, ask the peers that owned this key before we did. A
@@ -846,8 +828,7 @@ impl Engine {
         None
     }
 
-    /// Removes and returns `key`'s coalesced waiter list (empty when
-    /// the key was never registered — non-coalescing mode).
+    /// Removes and returns `key`'s coalesced waiter list.
     fn take_waiters(&self, key: &str) -> Vec<ReplyTx> {
         self.inflight
             .lock()
@@ -871,41 +852,33 @@ impl Engine {
             return Submission::Hit(body);
         }
         let (reply_tx, reply_rx) = mpsc::channel();
-        if self.coalesce {
-            let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(waiters) = inflight.get_mut(&key) {
-                // Join: one compute is already queued or running for
-                // this key; await its result on our own channel (and
-                // our own deadline).
-                waiters.push(reply_tx);
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                return Submission::Pending(reply_rx);
+        let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(waiters) = inflight.get_mut(&key) {
+            // Join: one compute is already queued or running for this
+            // key; await its result on our own channel (and our own
+            // deadline).
+            waiters.push(reply_tx);
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+            return Submission::Pending(reply_rx);
+        }
+        // Not in flight. Re-check the memory tier while holding the
+        // in-flight lock: completion warms the tier *before* clearing
+        // the map entry, so a finish between our lookup above and this
+        // lock cannot slip past both checks.
+        if let Some(body) = self.cache.get_mem(&key) {
+            return Submission::Hit(body);
+        }
+        // Become the leader: enqueue exactly one job, and register the
+        // key (still under the in-flight lock, so no follower can
+        // observe a half-registered leader, and a Busy queue never
+        // leaves a stale entry behind).
+        match self.enqueue(work, &key, reply_tx) {
+            Enqueue::Queued => {
+                inflight.insert(key, Vec::new());
+                Submission::Pending(reply_rx)
             }
-            // Not in flight. Re-check the memory tier while holding the
-            // in-flight lock: completion warms the tier *before*
-            // clearing the map entry, so a finish between our lookup
-            // above and this lock cannot slip past both checks.
-            if let Some(body) = self.cache.get_mem(&key) {
-                return Submission::Hit(body);
-            }
-            // Become the leader: enqueue exactly one job, and register
-            // the key (still under the in-flight lock, so no follower
-            // can observe a half-registered leader, and a Busy queue
-            // never leaves a stale entry behind).
-            match self.enqueue(work, &key, reply_tx) {
-                Enqueue::Queued => {
-                    inflight.insert(key, Vec::new());
-                    Submission::Pending(reply_rx)
-                }
-                Enqueue::Busy => Submission::Busy,
-                Enqueue::Draining => Submission::Draining,
-            }
-        } else {
-            match self.enqueue(work, &key, reply_tx) {
-                Enqueue::Queued => Submission::Pending(reply_rx),
-                Enqueue::Busy => Submission::Busy,
-                Enqueue::Draining => Submission::Draining,
-            }
+            Enqueue::Busy => Submission::Busy,
+            Enqueue::Draining => Submission::Draining,
         }
     }
 
@@ -986,11 +959,6 @@ impl Engine {
     /// Requests coalesced onto in-flight keys.
     pub fn coalesced(&self) -> u64 {
         self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Memory-tier shard count.
-    pub fn shards(&self) -> usize {
-        self.cache.shard_count()
     }
 
     /// Snapshot + length + capacity of the memory tier.

@@ -74,10 +74,6 @@ pub struct ServeConfig {
     /// Disk warm tier for the result cache: rendered responses persist
     /// here (write-behind) and survive restarts. `None` disables it.
     pub cache_dir: Option<PathBuf>,
-    /// Single-flight coalescing of identical concurrent requests.
-    /// `false` exists only for benchmarking the thundering-herd
-    /// baseline (`--no-coalesce`).
-    pub coalesce: bool,
     /// Per-request deadline (queue wait + compute).
     pub deadline: Duration,
     /// Test hook: artificial delay before each job, for deterministic
@@ -120,7 +116,6 @@ impl Default for ServeConfig {
             queue_cap: 64,
             cache_cap: 256,
             cache_dir: None,
-            coalesce: true,
             deadline: Duration::from_secs(30),
             worker_delay: Duration::ZERO,
             node_id: None,
@@ -198,7 +193,6 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
         queue_cap: cfg.queue_cap,
         cache_cap: cfg.cache_cap,
         cache_dir: cfg.cache_dir.clone(),
-        coalesce: cfg.coalesce,
         worker_delay: cfg.worker_delay,
         peers: cfg.peers.clone(),
     });

@@ -3,7 +3,7 @@
 //! ```text
 //! gem5prof-served [--addr HOST:PORT] [--workers N] [--threads N]
 //!                 [--queue N] [--cache-cap N] [--cache-dir PATH]
-//!                 [--deadline-ms N] [--no-coalesce] [--worker-delay-ms N]
+//!                 [--deadline-ms N] [--worker-delay-ms N]
 //!                 [--port-file PATH] [--node-id ID] [--peers A,B,...]
 //!                 [--profile-dir PATH] [--profile-cap N]
 //!                 [--max-conns N] [--read-timeout-ms N]
@@ -15,16 +15,13 @@
 //! scripts (`scripts/verify.sh`) find the daemon without racing on a
 //! fixed port. `--cache-dir` arms the disk warm tier: rendered responses
 //! persist across restarts, so a rebooted daemon serves figures without
-//! recompute. `--no-coalesce` disables duplicate suppression entirely —
-//! no single-flight joins, no worker-side cache re-check — restoring
-//! the naive thundering-herd engine (benchmark baseline only);
-//! `--worker-delay-ms`
-//! adds an artificial pause before each job (benchmarks and tests).
-//! `--profile-dir` arms the continuous profiling store: span/metrics
-//! snapshots persist there as a bounded ring (`--profile-cap` entries)
-//! and the `/profile/history|diff|snapshot|bless` routes come alive.
-//! SIGINT/SIGTERM trigger a graceful drain: stop accepting,
-//! finish in-flight work, reject new requests with 503, then exit.
+//! recompute. `--worker-delay-ms` adds an artificial pause before each
+//! job (benchmarks and tests). `--profile-dir` arms the continuous
+//! profiling store: span/metrics snapshots persist there as a bounded
+//! ring (`--profile-cap` entries) and the
+//! `/profile/history|diff|snapshot|bless` routes come alive.
+//! SIGINT/SIGTERM trigger a graceful drain: stop accepting, finish
+//! in-flight work, reject new requests with 503, then exit.
 
 use gem5prof_served::{serve, ServeConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,7 +54,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: gem5prof-served [--addr HOST:PORT] [--workers N] [--threads N] \
          [--queue N] [--cache-cap N] [--cache-dir PATH] [--deadline-ms N] \
-         [--no-coalesce] [--worker-delay-ms N] [--port-file PATH] \
+         [--worker-delay-ms N] [--port-file PATH] \
          [--node-id ID] [--peers HOST:PORT,HOST:PORT,...] \
          [--profile-dir PATH] [--profile-cap N] [--max-conns N] \
          [--read-timeout-ms N] [--write-timeout-ms N] [--sndbuf BYTES]"
@@ -74,8 +71,6 @@ fn main() {
     while i < args.len() {
         let value = |i: usize| args.get(i + 1).cloned().unwrap_or_else(|| usage());
         let parse_usize = |i: usize| -> usize { value(i).parse().unwrap_or_else(|_| usage()) };
-        // Boolean flags advance by 1; value-taking flags by 2.
-        let mut step = 2;
         match args[i].as_str() {
             "--addr" => cfg.addr = value(i),
             "--workers" => cfg.workers = parse_usize(i),
@@ -92,10 +87,6 @@ fn main() {
             "--cache-cap" => cfg.cache_cap = parse_usize(i).max(1),
             "--cache-dir" => cfg.cache_dir = Some(value(i).into()),
             "--deadline-ms" => cfg.deadline = Duration::from_millis(parse_usize(i) as u64),
-            "--no-coalesce" => {
-                cfg.coalesce = false;
-                step = 1;
-            }
             "--worker-delay-ms" => cfg.worker_delay = Duration::from_millis(parse_usize(i) as u64),
             "--max-conns" => cfg.max_conns = parse_usize(i).max(1),
             "--read-timeout-ms" => {
@@ -120,7 +111,7 @@ fn main() {
             "--help" | "-h" => usage(),
             _ => usage(),
         }
-        i += step;
+        i += 2;
     }
 
     install_signal_handlers();
@@ -152,11 +143,10 @@ fn main() {
     }
     eprintln!(
         "gem5prof-served: listening on http://{addr} \
-         (queue={}, cache={}, deadline={}ms, coalesce={}, disk-tier={}, profstore={})",
+         (queue={}, cache={}, deadline={}ms, disk-tier={}, profstore={})",
         cfg.queue_cap,
         cfg.cache_cap,
         cfg.deadline.as_millis(),
-        cfg.coalesce,
         cfg.cache_dir
             .as_deref()
             .map_or("off".into(), |p| p.display().to_string()),

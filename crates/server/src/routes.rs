@@ -896,7 +896,6 @@ fn stats_json(shared: &Shared) -> String {
                     ("evictions", Json::Num(cache_snap.evictions as f64)),
                     ("entries", Json::Num(cache_len as f64)),
                     ("capacity", Json::Num(cache_cap as f64)),
-                    ("shards", Json::Num(shared.engine.shards() as f64)),
                     ("hit_rate", Json::Num(cache_snap.hit_rate())),
                     ("computes", Json::Num(shared.engine.computes() as f64)),
                     ("coalesced", Json::Num(shared.engine.coalesced() as f64)),

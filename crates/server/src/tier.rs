@@ -1,8 +1,8 @@
-//! The tiered result cache: a sharded in-memory LRU over an optional
+//! The tiered result cache: an in-memory LRU over an optional
 //! disk-backed warm tier.
 //!
 //! ```text
-//! lookup:  mem (ShardedLru, per-shard mutex) ──hit──► body
+//! lookup:  mem (LruCache, one mutex) ──hit──► body
 //!             │ miss
 //!             ▼
 //!          disk (--cache-dir, versioned files) ──hit──► promote to mem, body
@@ -30,12 +30,12 @@
 //! write-behind replaces the bad file — a damaged cache directory can
 //! cost recomputes, never wrong answers.
 
-use gem5prof::cache::{default_shards, CacheSnapshot, ShardedLru};
+use gem5prof::cache::{CacheSnapshot, LruCache};
 use gem5prof_chaos as chaos;
 use gem5prof_obs as obs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Schema version of the on-disk entry format. Bump on any change to
@@ -248,10 +248,11 @@ impl DiskTier {
     }
 }
 
-/// The engine's result cache: sharded memory tier + optional disk tier,
-/// with per-tier lookup histograms in the process registry.
+/// The engine's result cache: memory tier + optional disk tier, with
+/// per-tier lookup histograms in the process registry. Memory entries
+/// weigh 1, so the memory tier's capacity counts entries.
 pub(crate) struct TieredCache {
-    mem: ShardedLru<String, Arc<String>>,
+    mem: Mutex<LruCache<String, Arc<String>>>,
     disk: Option<DiskTier>,
     lookup_mem: Arc<obs::Histogram>,
     lookup_disk: Arc<obs::Histogram>,
@@ -274,7 +275,7 @@ impl TieredCache {
         let r = obs::global();
         let b = obs::metrics::duration_buckets();
         TieredCache {
-            mem: ShardedLru::new(default_shards(cap), cap),
+            mem: Mutex::new(LruCache::new(cap)),
             disk,
             lookup_mem: r.histogram_with(
                 "served_tier_lookup_seconds",
@@ -291,10 +292,14 @@ impl TieredCache {
         }
     }
 
+    fn mem(&self) -> MutexGuard<'_, LruCache<String, Arc<String>>> {
+        self.mem.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Full tiered lookup: memory first, then disk with promote-on-hit.
     pub fn get(&self, key: &String) -> Option<Arc<String>> {
         let t0 = Instant::now();
-        let mem = self.mem.get(key);
+        let mem = self.mem().get(key);
         self.lookup_mem.observe_duration(t0.elapsed());
         if mem.is_some() {
             return mem;
@@ -305,21 +310,21 @@ impl TieredCache {
         self.lookup_disk.observe_duration(t0.elapsed());
         let body = Arc::new(body?);
         // Promote: the next lookup for this key is a memory hit.
-        self.mem.insert(key.clone(), Arc::clone(&body));
+        self.mem().insert(key.clone(), Arc::clone(&body), 1);
         Some(body)
     }
 
     /// Memory tier only — the cheap re-check paths (under the
     /// in-flight lock, and nothing else) use this to avoid disk I/O.
     pub fn get_mem(&self, key: &String) -> Option<Arc<String>> {
-        self.mem.get(key)
+        self.mem().get(key)
     }
 
     /// Warms the memory tier (the disk write is separate — see
     /// [`write_behind`](Self::write_behind) — so replies never wait on
     /// the filesystem).
     pub fn insert_mem(&self, key: &str, body: &Arc<String>) {
-        self.mem.insert(key.to_string(), Arc::clone(body));
+        self.mem().insert(key.to_string(), Arc::clone(body), 1);
     }
 
     /// Persists to the disk tier, if one is configured. Called by the
@@ -331,19 +336,15 @@ impl TieredCache {
     }
 
     pub fn mem_snapshot(&self) -> CacheSnapshot {
-        self.mem.snapshot()
+        self.mem().stats()
     }
 
     pub fn len(&self) -> usize {
-        self.mem.len()
+        self.mem().len()
     }
 
     pub fn capacity(&self) -> usize {
-        self.mem.capacity()
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.mem.shard_count()
+        self.mem().capacity()
     }
 
     /// Disk counters plus resident file count, if the tier is armed.

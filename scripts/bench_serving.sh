@@ -1,18 +1,9 @@
 #!/usr/bin/env sh
 # Regenerates BENCH_serving.json: the repeated-spec steady-state
-# baseline plus the cold-cache duplicate-heavy comparison of
-# single-flight coalescing vs. --no-coalesce.
-#
-# The duplicate-heavy pair uses --worker-delay-ms 1000 (an artificial
-# 1 s compute) so the measured effect is queueing, not render noise:
-# without coalescing every concurrent duplicate of the cold hot key
-# computes independently and the herd serializes over the 2 workers;
-# with coalescing the herd costs one compute.
-#
-# Also records:
-# - the cluster comparison: the same duplicate-heavy workload against
-#   one node vs. four nodes behind the consistent-hash router, with the
-#   fleet-wide compute count (must stay <= unique keys);
+# baseline, plus:
+# - the cluster comparison: a cold-cache duplicate-heavy workload
+#   against one node vs. four nodes behind the consistent-hash router,
+#   with the fleet-wide compute count (must stay <= unique keys);
 # - the serving core at 512 closed-loop clients, plus the
 #   10 000-connection open-loop run;
 # - the execution-tier comparison: tier_bench runs the kernels and
@@ -89,24 +80,12 @@ target/release/loadgen --addr "$ADDR" --clients 64 --requests 100 \
     --profile-snapshot --json > "$OUT_DIR/steady.json"
 stop_daemon
 
-# --- duplicate-heavy cold cache: coalescing on, then off --------------
-start_daemon --workers 2 --worker-delay-ms 1000
-target/release/loadgen --addr "$ADDR" --clients 32 --requests 3 \
-    --paths /tables/table1,/tables/table2 --duplicate-fraction 0.9 \
-    --profile-snapshot --json > "$OUT_DIR/coalesced.json"
-stop_daemon
-
-start_daemon --workers 2 --worker-delay-ms 1000 --no-coalesce
-target/release/loadgen --addr "$ADDR" --clients 32 --requests 3 \
-    --paths /tables/table1,/tables/table2 --duplicate-fraction 0.9 \
-    --profile-snapshot --json > "$OUT_DIR/no_coalesce.json"
-stop_daemon
-
 # --- cluster: duplicate-heavy, 1 node vs 4 nodes ----------------------
-# Same cold-cache duplicate-heavy mix as above (2 unique table keys,
-# 0.9 duplicate fraction, 1 s artificial compute). Single node first,
-# then 4 nodes behind the router; the fleet's total computes are read
-# from every member afterwards — the ring + per-owner single-flight
+# A cold-cache duplicate-heavy mix: 2 unique table keys, 0.9 duplicate
+# fraction, and --worker-delay-ms 1000 (an artificial 1 s compute) so
+# the measured effect is queueing, not render noise. Single node
+# first, then 4 nodes behind the router; the fleet's total computes are
+# read from every member afterwards — the ring + per-owner single-flight
 # must keep them <= the 2 unique keys.
 start_daemon --workers 2 --worker-delay-ms 1000
 target/release/loadgen --addr "$ADDR" --clients 32 --requests 3 \
@@ -185,4 +164,4 @@ target/release/bench_report "$OUT_DIR" "$FLEET_COMPUTES" > "$OUT_DIR/BENCH_servi
 mv "$OUT_DIR/BENCH_serving.json" BENCH_serving.json
 
 echo "bench_serving: wrote BENCH_serving.json"
-grep -E '"(coalescing_speedup|ATOMIC|TIMING|all_verified)": ' BENCH_serving.json
+grep -E '"(four_node_fleet_computes|ATOMIC|TIMING|all_verified)": ' BENCH_serving.json

@@ -112,6 +112,17 @@ if [ "$AFTER" -le "$BEFORE" ]; then
 fi
 echo "verify: /metrics counter incremented ($BEFORE -> $AFTER)"
 
+# Trace-cache footprint: TRACE_CACHE_CAP (8,000,000 events) bounds the
+# cached streams' total, so a fresh daemon stays within it after the
+# cold fig01 above.
+RESIDENT="$(target/release/servectl --addr "$ADDR" --timeout-ms 5000 metrics \
+    | awk '$1 == "gem5prof_trace_cache_resident_events" { print $2 }')"
+if [ -z "$RESIDENT" ] || [ "$RESIDENT" -gt 8000000 ]; then
+    echo "verify: trace cache holds ${RESIDENT:-no} resident events (cap 8000000)" >&2
+    exit 1
+fi
+echo "verify: trace cache holds $RESIDENT resident events (cap 8000000)"
+
 kill -TERM "$SERVED_PID"
 wait "$SERVED_PID"
 SERVED_PID=""

@@ -2,7 +2,9 @@
 //! `GuestSpec` simulates the guest; every later profile of the same spec
 //! replays the recorded stream and performs **zero** guest simulation.
 //! A stream past the trace-cache cap is the exception: it is never
-//! cached, so each profile of it simulates.
+//! cached, so each profile of it simulates. The same cap bounds the
+//! cache's total: streams that together pass it evict the least
+//! recently used.
 //!
 //! "Zero simulation" is asserted through the event-queue layer itself:
 //! every serviced simulator event bumps a process-wide counter
@@ -13,7 +15,7 @@
 //! no concurrently running test can perturb the process-wide counters.
 
 use gem5_profiling::prof::experiment::{profile, GuestSpec, HostSetup};
-use gem5_profiling::prof::runner::cache_stats;
+use gem5_profiling::prof::runner::{cache_stats, TRACE_CACHE_CAP};
 use gem5_profiling::sim::config::{CpuModel, SimMode};
 use gem5_profiling::workloads::{Microbench, Scale, Workload};
 use gem5sim_event::global_events_serviced;
@@ -97,4 +99,35 @@ fn second_profile_of_same_spec_runs_zero_guest_simulation() {
     assert_eq!(big_first.guest, big_second.guest);
     assert_eq!(big_first.hosts, big_second.hosts);
     assert_eq!(big_first.profile, big_second.profile);
+
+    // Two streams that each fit the cap but not together (canneal on O3
+    // in FS then SE mode, ~5.8M + ~5.4M events): both are cached, the
+    // second evicts the least recently used streams, and the resident
+    // total never passes the cap.
+    let budget = [SimMode::Fs, SimMode::Se]
+        .map(|mode| GuestSpec::new(Workload::Canneal, Scale::Test, CpuModel::O3, mode));
+    for spec in &budget {
+        let _ = profile(spec, &hosts);
+        let resident = cache_stats().resident_events;
+        assert!(
+            resident <= TRACE_CACHE_CAP as u64,
+            "{resident} events resident over the {TRACE_CACHE_CAP}-event cap"
+        );
+    }
+    let stats5 = cache_stats();
+    assert_eq!(stats5.insertions, stats4.insertions + 2);
+    assert!(
+        stats5.evictions > stats4.evictions,
+        "the two streams together must pass the cap"
+    );
+
+    // The newest stream stays cached: it replays with zero simulation.
+    let events5 = global_events_serviced();
+    let _ = profile(&budget[1], &hosts);
+    assert_eq!(
+        global_events_serviced(),
+        events5,
+        "the most recent stream must survive eviction"
+    );
+    assert_eq!(cache_stats().hits, stats5.hits + 1);
 }

@@ -211,16 +211,16 @@ fn server_flow_end_to_end() {
 fn queue_full_answers_429_never_hangs() {
     // One worker, a one-slot queue, and an artificial 400 ms of work per
     // job: a burst of 8 concurrent requests must see some 200s and some
-    // 429s, and every request must get *an* answer. Coalescing is off —
-    // with it on, identical requests merge onto one job and the queue
-    // can never fill (which `coalescing_collapses_identical_requests`
-    // asserts); this test pins the backpressure path itself.
+    // 429s, and every request must get *an* answer. The keys are
+    // distinct, because identical requests merge onto one job and the
+    // queue can never fill (which `coalescing_collapses_identical_requests`
+    // asserts); the specs differ only in host frequency, so every compute
+    // replays one cheap guest stream.
     let handle = serve(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         queue_cap: 1,
         cache_cap: 16,
-        coalesce: false,
         deadline: Duration::from_secs(30),
         worker_delay: Duration::from_millis(400),
         ..ServeConfig::default()
@@ -232,14 +232,23 @@ fn queue_full_answers_429_never_hangs() {
     let barrier = std::sync::Barrier::new(BURST);
     let statuses: Vec<u16> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..BURST)
-            .map(|_| {
+            .map(|i| {
                 let addr = &addr;
                 let barrier = &barrier;
+                let spec = format!(
+                    r#"{{"platform":"intel_xeon","workload":"alu","cpu":"atomic","knobs":"freq=2.{i}"}}"#
+                );
                 s.spawn(move || {
                     barrier.wait();
-                    one_shot(addr, "GET", "/tables/table1", None, Duration::from_secs(20))
-                        .expect("request must complete, not hang")
-                        .0
+                    one_shot(
+                        addr,
+                        "POST",
+                        "/experiments",
+                        Some(spec.as_str()),
+                        Duration::from_secs(20),
+                    )
+                    .expect("request must complete, not hang")
+                    .0
                 })
             })
             .collect();
