@@ -3,11 +3,14 @@
 //! [`profile`] is memoized per [`GuestSpec`] (see [`crate::runner`]): the
 //! first call simulates the guest, streaming the post-adapter events into
 //! the host engines and recording them; later calls for the same spec
-//! feed the recorded stream into fresh host engines without touching the
-//! simulator, for as long as the stream stays in the trace cache (whose
-//! total [`TRACE_CACHE_CAP`] bounds). Both paths hand the engines the
-//! identical stream through [`hosttrace::record::feed`], so results never
-//! depend on whether they were simulated or served from cache.
+//! never touch the simulator, for as long as the stream stays in the
+//! trace cache (whose total [`TRACE_CACHE_CAP`] bounds). They take the
+//! host results memoized with the stream as they are and feed the
+//! recorded stream only into fresh engines for the setups not yet
+//! memoized, memoizing those too. Both paths hand the engines the
+//! identical stream through [`hosttrace::record::feed`], spread over
+//! [`runner::threads`] threads, so results never depend on whether they
+//! were simulated, replayed or memoized, nor on the thread count.
 
 use crate::runner::{self, CachedGuest, TRACE_CACHE_CAP};
 use gem5sim::config::{CpuModel, SimMode, SystemConfig};
@@ -175,44 +178,70 @@ pub(crate) fn registry_for(binary: BinaryVariant, backing: PageBacking) -> Arc<R
 /// Runs one guest simulation, feeding every host setup from the same
 /// instrumentation stream (so host comparisons are exact, not sampled).
 ///
-/// Memoized: the first profile of a [`GuestSpec`] records the stream;
-/// subsequent profiles of the same spec replay it into the new host
-/// engines and perform zero guest simulation until it is evicted.
+/// Memoized: the first profile of a [`GuestSpec`] records the stream and
+/// its host results; subsequent profiles of the same spec perform zero
+/// guest simulation until it is evicted, taking memoized host results as
+/// they are and replaying the stream into engines only for new setups.
 pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
     assert!(!hosts.is_empty(), "at least one host setup required");
     let _span = gem5prof_obs::span("profile");
     let _wspan = gem5prof_obs::span(guest.workload.name());
-    let mut engines: Vec<HostEngine> = hosts
-        .iter()
-        .map(|h| HostEngine::new(h.config.clone(), registry_for(h.binary, h.backing)))
-        .collect();
-    let (result, profile) = match runner::cache_lookup(guest) {
-        Some(cached) => {
-            let _replay = gem5prof_obs::span("replay");
-            feed(&cached.events, &mut engines);
-            (cached.guest.clone(), cached.profile.clone())
-        }
+    let (result, profile, host_stats) = match runner::cache_lookup(guest) {
+        Some(cached) => (
+            cached.guest.clone(),
+            cached.profile.clone(),
+            hosts_from_cache(&cached, hosts),
+        ),
         None => {
+            let mut engines: Vec<HostEngine> = hosts.iter().map(engine).collect();
             let (result, profile, events) = simulate(guest, &mut engines, None);
+            let stats: Vec<HostRunStats> = engines.into_iter().map(HostEngine::finish).collect();
             if let Some(events) = events {
-                runner::cache_insert(
-                    *guest,
-                    CachedGuest {
-                        guest: result.clone(),
-                        profile: profile.clone(),
-                        events,
-                    },
-                );
+                let entry = CachedGuest::new(result.clone(), profile.clone(), events);
+                for (h, s) in hosts.iter().zip(&stats) {
+                    entry.remember(h, s);
+                }
+                runner::cache_insert(*guest, entry);
             }
-            (result, profile)
+            (result, profile, stats)
         }
     };
     ProfileRun {
         guest: result,
-        hosts: engines.into_iter().map(HostEngine::finish).collect(),
+        hosts: host_stats,
         profile,
         registry: registry_for(BinaryVariant::Base, PageBacking::Base),
     }
+}
+
+/// `hosts` evaluated on a cached stream: memoized results as they are,
+/// the rest by replaying the stream into fresh engines, then memoized.
+fn hosts_from_cache(cached: &CachedGuest, hosts: &[HostSetup]) -> Vec<HostRunStats> {
+    let mut stats: Vec<Option<HostRunStats>> = hosts.iter().map(|h| cached.memoized(h)).collect();
+    let todo: Vec<usize> = (0..hosts.len()).filter(|&i| stats[i].is_none()).collect();
+    runner::count_host_results(hosts.len() - todo.len(), todo.len());
+    if !todo.is_empty() {
+        let _replay = gem5prof_obs::span("replay");
+        let mut engines: Vec<HostEngine> = todo.iter().map(|&i| engine(&hosts[i])).collect();
+        feed(&cached.events, &mut engines, runner::threads());
+        for (&i, e) in todo.iter().zip(engines) {
+            let s = e.finish();
+            cached.remember(&hosts[i], &s);
+            stats[i] = Some(s);
+        }
+    }
+    stats
+        .into_iter()
+        .map(|s| s.expect("memoized or replayed"))
+        .collect()
+}
+
+/// A fresh host engine for `setup`.
+fn engine(setup: &HostSetup) -> HostEngine {
+    HostEngine::new(
+        setup.config.clone(),
+        registry_for(setup.binary, setup.backing),
+    )
 }
 
 /// Simulates `guest` once, feeding the adapter's output to `engines` chunk
@@ -228,7 +257,7 @@ pub(crate) fn simulate(
     let cap = work_scale.map_or(TRACE_CACHE_CAP, |_| 0);
     let mut adapter = TraceAdapter::new(
         registry_for(BinaryVariant::Base, PageBacking::Base),
-        RecordingSink::with_sinks(cap, std::mem::take(engines)),
+        RecordingSink::with_sinks(cap, std::mem::take(engines), runner::threads()),
     );
     if let Some((comp, factor)) = work_scale {
         adapter.set_work_scale(comp, factor);
@@ -297,10 +326,25 @@ mod tests {
         GuestSpec::new(Workload::Dedup, Scale::Test, cpu, SimMode::Se)
     }
 
+    /// `guest` simulated afresh into live engines, bypassing the trace
+    /// cache (which other tests share and may clear).
+    fn live(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
+        let mut engines = hosts.iter().map(engine).collect();
+        let (result, profile, _) = simulate(guest, &mut engines, None);
+        ProfileRun {
+            guest: result,
+            hosts: engines.into_iter().map(HostEngine::finish).collect(),
+            profile,
+            registry: registry_for(BinaryVariant::Base, PageBacking::Base),
+        }
+    }
+
     #[test]
     fn fanout_hosts_see_identical_streams() {
+        // Live, so two engines are fed (on two threads when the runner
+        // has them) rather than read from another test's memo.
         let xeon = HostSetup::platform(&intel_xeon());
-        let run = profile(&quick(CpuModel::Atomic), &[xeon.clone(), xeon]);
+        let run = live(&quick(CpuModel::Atomic), &[xeon.clone(), xeon]);
         assert_eq!(run.hosts.len(), 2);
         assert_eq!(run.hosts[0].records, run.hosts[1].records);
         assert_eq!(run.hosts[0].cycles, run.hosts[1].cycles);
@@ -336,17 +380,16 @@ mod tests {
 
     #[test]
     fn cached_replay_equals_live_profile() {
-        let hosts = [
-            HostSetup::platform(&intel_xeon()),
-            HostSetup::platform(&m1_pro()),
-        ];
+        let [xeon, m1] = [intel_xeon(), m1_pro()].map(|p| HostSetup::platform(&p));
         let spec = quick(CpuModel::Minor);
-        let live = profile(&spec, &hosts);
-        // Same spec again: served by replay, must be indistinguishable.
-        let replayed = profile(&spec, &hosts);
-        assert_eq!(live.guest, replayed.guest);
-        assert_eq!(live.hosts, replayed.hosts);
-        assert_eq!(live.profile, replayed.profile);
+        let _ = profile(&spec, std::slice::from_ref(&xeon));
+        // The stream is cached and no test profiles m1 on it, so m1's
+        // engine replays it; that must be indistinguishable from live.
+        let replayed = profile(&spec, std::slice::from_ref(&m1));
+        let live = live(&spec, &[xeon, m1]);
+        assert_eq!(replayed.guest, live.guest);
+        assert_eq!(replayed.hosts[..], live.hosts[1..]);
+        assert_eq!(replayed.profile, live.profile);
     }
 
     #[test]
@@ -417,9 +460,12 @@ mod tests {
                 Microbench::Alu.expected_checksum(Scale::Test),
             ]
         );
-        // The memoized replay serves the multi-hart spec too.
-        let replayed = profile(&spec, &[HostSetup::platform(&intel_xeon())]);
+        // The cached stream serves the multi-hart spec too: a new host
+        // replays it exactly as a live engine sees it.
+        let m1 = [HostSetup::platform(&m1_pro())];
+        let replayed = profile(&spec, &m1);
         assert_eq!(run.guest, replayed.guest);
+        assert_eq!(replayed.hosts, live(&spec, &m1).hosts);
     }
 
     #[test]

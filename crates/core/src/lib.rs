@@ -10,10 +10,13 @@
 //!                  hosttrace::TraceAdapter (synthetic gem5 binary)
 //!                       │ host instruction stream
 //!                       ▼
-//!                  hosttrace::RecordingSink ──► trace cache (≤ 8 M events)
-//!                       │ record::feed               │ hit: record::feed
-//!                       ▼ (64 Ki-event chunks)       ▼
+//!                  hosttrace::RecordingSink ──► trace cache (≤ 8 M events,
+//!                       │                             │  ≤ 16 memoized host results
+//!                       │                             │  per stream)
+//!                       │ record::feed               │ hit: record::feed, for
+//!                       ▼ (64 Ki-event chunks)       ▼ setups not memoized
 //!          hostmodel::HostEngine × N host platforms / knob settings
+//!                       (spread over the runner's threads)
 //!                       │
 //!                       ▼
 //!            Top-Down profiles, miss rates, "host seconds"

@@ -6,29 +6,35 @@
 //! point was historically profiled sequentially. [`parallel_map`] fans a
 //! work list across cores with scoped threads and work stealing, and the
 //! [trace cache](cache_stats) records each [`GuestSpec`]'s post-adapter
-//! event stream and feeds it into the host engines of every later
-//! profile of the same spec, so the guest simulation runs once while its
-//! stream stays cached. [`TRACE_CACHE_CAP`] bounds both one stream and
-//! the whole cache: a longer stream is never cached, and the least
-//! recently used streams are evicted once the cached total would pass it.
+//! event stream, so the guest simulation runs once while its stream
+//! stays cached. [`TRACE_CACHE_CAP`] bounds both one stream and the
+//! whole cache: a longer stream is never cached, and the least recently
+//! used streams are evicted once the cached total would pass it. Each
+//! cached stream also memoizes the host results computed from it, keyed
+//! by the whole [`HostSetup`] and at most [`HOST_MEMO_CAP`] of them, so a
+//! later profile replays the stream only into engines for new setups.
+//! [`threads`] also sets how many threads `hosttrace::record::feed`
+//! spreads one profile's engines over.
 //!
 //! Determinism contract: `parallel_map(items, f)[i] == f(&items[i])`,
 //! assembled in input order, for any thread count and any interleaving.
 //! Profiling is deterministic per spec (replayed streams are exactly the
-//! recorded streams), so whole figures are byte-identical whether built
-//! on 1 thread or N.
+//! recorded streams, each engine sees them in order on one thread, and
+//! a memoized result is the one that engine produced), so whole figures
+//! are byte-identical whether built on 1 thread or N.
 //!
 //! Thread count resolution order: [`with_threads`] override, then
 //! [`set_threads`], then the `GEM5PROF_THREADS` environment variable,
 //! then [`std::thread::available_parallelism`].
 
 use crate::cache::LruCache;
-use crate::experiment::GuestSpec;
+use crate::experiment::{GuestSpec, HostSetup};
 use gem5sim::system::SimResult;
 use gem5sim::ExecTier;
+use hostmodel::HostRunStats;
 use hosttrace::record::TraceEvent;
 use hosttrace::CallProfile;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 // ---------------------------------------------------------------------
@@ -302,6 +308,45 @@ pub(crate) struct CachedGuest {
     /// The complete post-adapter event stream, replayable into any host
     /// engine set.
     pub events: Vec<TraceEvent>,
+    /// Host results already computed from `events`, oldest first; at most
+    /// [`HOST_MEMO_CAP`]. They live and die with the stream.
+    hosts: Mutex<Vec<(HostSetup, HostRunStats)>>,
+}
+
+/// Bound on the host results memoized per cached stream. Setups come from
+/// outside the program (`freq=` and other knobs), so the memo evicts its
+/// oldest result rather than grow with them.
+pub const HOST_MEMO_CAP: usize = 16;
+
+impl CachedGuest {
+    pub fn new(guest: SimResult, profile: CallProfile, events: Vec<TraceEvent>) -> Self {
+        CachedGuest {
+            guest,
+            profile,
+            events,
+            hosts: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The result memoized for `setup`.
+    pub fn memoized(&self, setup: &HostSetup) -> Option<HostRunStats> {
+        let hosts = lock(&self.hosts);
+        let (_, stats) = hosts.iter().find(|(s, _)| s == setup)?;
+        Some(stats.clone())
+    }
+
+    /// Memoizes `stats` for `setup`, evicting the oldest result past
+    /// [`HOST_MEMO_CAP`].
+    pub fn remember(&self, setup: &HostSetup, stats: &HostRunStats) {
+        let mut hosts = lock(&self.hosts);
+        if hosts.iter().any(|(s, _)| s == setup) {
+            return;
+        }
+        if hosts.len() == HOST_MEMO_CAP {
+            hosts.remove(0);
+        }
+        hosts.push((setup.clone(), stats.clone()));
+    }
 }
 
 /// Bound on the trace cache, in events (24 B per `TraceEvent`, so the
@@ -313,7 +358,7 @@ pub const TRACE_CACHE_CAP: usize = 8_000_000;
 /// Running totals for the trace cache, readable by tests and tools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCacheStats {
-    /// Profiles served by replaying a cached stream (no guest simulation).
+    /// Profiles served from a cached stream (no guest simulation).
     pub hits: u64,
     /// Profiles that ran the guest simulator.
     pub misses: u64,
@@ -324,6 +369,20 @@ pub struct TraceCacheStats {
     /// Events currently resident across all cached streams (at most
     /// [`TRACE_CACHE_CAP`]).
     pub resident_events: u64,
+    /// Host-engine results served from a cached stream's memo.
+    pub host_memo_hits: u64,
+    /// Host engines fed from a cached stream.
+    pub host_replays: u64,
+}
+
+static HOST_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
+static HOST_REPLAYS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one cache hit's host results: `memo_hits` served from the memo,
+/// `replays` computed by feeding the cached stream to fresh engines.
+pub(crate) fn count_host_results(memo_hits: usize, replays: usize) {
+    HOST_MEMO_HITS.fetch_add(memo_hits as u64, Ordering::Relaxed);
+    HOST_REPLAYS.fetch_add(replays as u64, Ordering::Relaxed);
 }
 
 /// The memoized guest streams, each weighted by its event count. Its
@@ -335,13 +394,26 @@ fn cache() -> MutexGuard<'static, LruCache<GuestSpec, Arc<CachedGuest>>> {
         // First touch of the trace cache: surface its counters in the
         // metrics registry, read from the same cache `/stats` reports.
         gem5prof_obs::global().register_collector(Box::new(|| {
+            use gem5prof_obs::{MetricKind, Sample};
             let cache = cache();
             let mut samples = cache.stats().metric_samples("gem5prof_trace_cache");
-            samples.push(gem5prof_obs::Sample::plain(
+            samples.push(Sample::plain(
                 "gem5prof_trace_cache_resident_events",
                 "events currently resident across all cached guest streams",
-                gem5prof_obs::MetricKind::Gauge,
+                MetricKind::Gauge,
                 cache.weight() as f64,
+            ));
+            samples.push(Sample::plain(
+                "gem5prof_trace_cache_host_memo_hits_total",
+                "host-engine results served from a cached stream's memo",
+                MetricKind::Counter,
+                HOST_MEMO_HITS.load(Ordering::Relaxed) as f64,
+            ));
+            samples.push(Sample::plain(
+                "gem5prof_trace_cache_host_replays_total",
+                "host engines fed from a cached stream",
+                MetricKind::Counter,
+                HOST_REPLAYS.load(Ordering::Relaxed) as f64,
             ));
             samples
         }));
@@ -368,10 +440,13 @@ pub fn cache_stats() -> TraceCacheStats {
         insertions: snap.insertions,
         evictions: snap.evictions,
         resident_events: cache.weight() as u64,
+        host_memo_hits: HOST_MEMO_HITS.load(Ordering::Relaxed),
+        host_replays: HOST_REPLAYS.load(Ordering::Relaxed),
     }
 }
 
-/// Empties the trace cache (counters keep running totals).
+/// Empties the trace cache and, with each stream, its memoized host
+/// results (counters keep running totals).
 pub fn clear_cache() {
     cache().clear();
 }

@@ -116,25 +116,28 @@ pub struct RecordingSink<S = NullSink> {
     cap: usize,
     overflowed: bool,
     sinks: Vec<S>,
+    /// Threads [`feed`] may spread `sinks` over.
+    workers: usize,
 }
 
 impl RecordingSink {
     /// A recorder of at most `cap` events with no downstream sinks.
     pub fn with_cap(cap: usize) -> Self {
-        Self::with_sinks(cap, Vec::new())
+        Self::with_sinks(cap, Vec::new(), 1)
     }
 }
 
-impl<S: TraceSink> RecordingSink<S> {
+impl<S: TraceSink + Send> RecordingSink<S> {
     /// A recorder that keeps at most `cap` events and feeds the whole
-    /// stream to `sinks`.
-    pub fn with_sinks(cap: usize, sinks: Vec<S>) -> Self {
+    /// stream to `sinks`, spread over up to `workers` threads.
+    pub fn with_sinks(cap: usize, sinks: Vec<S>, workers: usize) -> Self {
         RecordingSink {
             events: Vec::new(),
             fed: 0,
             cap,
             overflowed: false,
             sinks,
+            workers,
         }
     }
 
@@ -151,7 +154,7 @@ impl<S: TraceSink> RecordingSink<S> {
     }
 
     fn flush(&mut self) {
-        feed(&self.events[self.fed..], &mut self.sinks);
+        feed(&self.events[self.fed..], &mut self.sinks, self.workers);
         if self.overflowed || self.events.len() > self.cap {
             self.overflowed = true;
             self.events.clear();
@@ -168,7 +171,7 @@ impl<S: TraceSink> RecordingSink<S> {
     }
 }
 
-impl<S: TraceSink> TraceSink for RecordingSink<S> {
+impl<S: TraceSink + Send> TraceSink for RecordingSink<S> {
     fn exec(&mut self, rec: ExecRecord) {
         self.push(TraceEvent::Exec(rec));
     }
@@ -187,18 +190,34 @@ pub fn replay<S: TraceSink>(events: &[TraceEvent], sink: &mut S) {
     }
 }
 
-/// Hands `events` to every sink one 65,536-event chunk at a time, sink by
-/// sink within a chunk, each chunk in a `host_engines` span. The sinks are
-/// independent, so each sees exactly the stream [`replay`] gives it.
-pub fn feed<S: TraceSink>(events: &[TraceEvent], sinks: &mut [S]) {
+/// Hands `events` to every sink one 65,536-event chunk at a time, each
+/// chunk in a `host_engines` span. Within a chunk the sinks are split into
+/// `min(workers, sinks)` contiguous groups: the calling thread replays the
+/// first group and scoped threads replay the rest, sink by sink (one group
+/// spawns nothing). Each sink is on one thread per chunk and the chunks go
+/// in order, so each sees exactly the stream [`replay`] gives it, whatever
+/// `workers` is.
+pub fn feed<S: TraceSink + Send>(events: &[TraceEvent], sinks: &mut [S], workers: usize) {
     if sinks.is_empty() {
         return;
     }
+    let groups = workers.clamp(1, sinks.len());
     for chunk in events.chunks(CHUNK_EVENTS) {
         let _span = gem5prof_obs::span("host_engines");
-        for sink in sinks.iter_mut() {
-            replay(chunk, sink);
-        }
+        let replay_all = |group: &mut [S]| group.iter_mut().for_each(|s| replay(chunk, s));
+        // Even split, as `runner::parallel_map` does: group g owns
+        // sinks[g*n/groups .. (g+1)*n/groups].
+        let n = sinks.len();
+        let (first, mut rest) = sinks.split_at_mut(n / groups);
+        std::thread::scope(|scope| {
+            for g in 1..groups {
+                let len = (g + 1) * n / groups - g * n / groups;
+                let (group, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                scope.spawn(move || replay_all(group));
+            }
+            replay_all(first);
+        });
     }
 }
 
@@ -283,9 +302,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn over_cap_recorder_streams_everything_downstream_in_bounded_memory() {
-        let input: Vec<TraceEvent> = (0..3 * CHUNK_EVENTS as u32 + 17)
+    /// Three full chunks plus a partial one, every event distinct.
+    fn chunked_stream() -> Vec<TraceEvent> {
+        (0..3 * CHUNK_EVENTS as u32 + 17)
             .map(|i| match i % 5 {
                 0 => TraceEvent::Data(DataRef {
                     addr: u64::from(i) * 64,
@@ -297,10 +316,15 @@ mod tests {
                     ..rec(1)
                 }),
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn over_cap_recorder_streams_everything_downstream_in_bounded_memory() {
+        let input = chunked_stream();
         let cap = CHUNK_EVENTS + 100;
         let downstream = vec![RecordingSink::with_cap(usize::MAX); 2];
-        let mut r = RecordingSink::with_sinks(cap, downstream);
+        let mut r = RecordingSink::with_sinks(cap, downstream, 1);
         for ev in input.chunks(1) {
             replay(ev, &mut r);
             assert!(
@@ -315,6 +339,29 @@ mod tests {
         );
         for s in sinks {
             assert_eq!(s.into_events().expect("uncapped"), input);
+        }
+    }
+
+    #[test]
+    fn fanned_out_sinks_each_see_the_whole_stream_in_order() {
+        let input = chunked_stream();
+        for workers in [1, 2, 3, 8] {
+            for n in [1, 2, 7] {
+                let fresh = vec![RecordingSink::with_cap(usize::MAX); n];
+                let mut sinks = fresh.clone();
+                feed(&input, &mut sinks, workers);
+                let mut r = RecordingSink::with_sinks(usize::MAX, fresh, workers);
+                replay(&input, &mut r);
+                let (recording, through_recorder) = r.finish();
+                assert_eq!(recording.as_ref(), Some(&input));
+                for (i, s) in sinks.into_iter().chain(through_recorder).enumerate() {
+                    assert_eq!(
+                        s.into_events().expect("uncapped"),
+                        input,
+                        "sink {i} of {n} at {workers} workers"
+                    );
+                }
+            }
         }
     }
 

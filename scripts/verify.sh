@@ -123,6 +123,26 @@ if [ -z "$RESIDENT" ] || [ "$RESIDENT" -gt 8000000 ]; then
 fi
 echo "verify: trace cache holds $RESIDENT resident events (cap 8000000)"
 
+# Host-result memo: fig02 and fig03 profile the same eight gem5 cases on
+# Intel_Xeon, so fig03 must serve all eight host results from the memo
+# kept with each cached stream instead of replaying their engines.
+scrape_memo_hits() {
+    target/release/servectl --addr "$ADDR" --timeout-ms 5000 metrics \
+        | awk '$1 == "gem5prof_trace_cache_host_memo_hits_total" { print $2 }'
+}
+target/release/servectl --addr "$ADDR" --timeout-ms 900000 \
+    'figures/fig02?fidelity=quick' > /dev/null
+MEMO_BEFORE="$(scrape_memo_hits)"
+target/release/servectl --addr "$ADDR" --timeout-ms 900000 \
+    'figures/fig03?fidelity=quick' > /dev/null
+MEMO_AFTER="$(scrape_memo_hits)"
+if [ -z "$MEMO_BEFORE" ] || [ -z "$MEMO_AFTER" ] \
+    || [ "$MEMO_AFTER" -lt $((MEMO_BEFORE + 8)) ]; then
+    echo "verify: fig03 served ${MEMO_BEFORE:-?} -> ${MEMO_AFTER:-?} host memo hits (want +8)" >&2
+    exit 1
+fi
+echo "verify: fig03 served $((MEMO_AFTER - MEMO_BEFORE)) host results from the memo"
+
 kill -TERM "$SERVED_PID"
 wait "$SERVED_PID"
 SERVED_PID=""

@@ -188,25 +188,32 @@ fn clock_dividers_stretch_time_but_not_results() {
 }
 
 /// The co-run scaling figure fans (pair × harts) across the worker
-/// pool; its rendered output must be byte-identical at any thread count
-/// (the second build replays memoized guest traces, so this also pins
-/// replay determinism at the figure level).
+/// pool; its rendered output must be byte-identical at any thread count.
 #[test]
 fn corun_figure_is_byte_identical_across_thread_counts() {
     use gem5_profiling::prof::figures::{fig17, Fidelity};
+    use gem5_profiling::prof::runner::clear_cache;
     use gem5_profiling::prof::with_threads;
-    let parallel = with_threads(4, || fig17(Fidelity::Quick).to_string());
-    let single = with_threads(1, || fig17(Fidelity::Quick).to_string());
+    // Each leg starts cold, so both run their engines live instead of
+    // reading the other's memoized results.
+    let fig17_cold = || {
+        clear_cache();
+        fig17(Fidelity::Quick).to_string()
+    };
+    let parallel = with_threads(4, fig17_cold);
+    let single = with_threads(1, fig17_cold);
     assert_eq!(parallel, single, "fig17 diverged between 4 and 1 threads");
 }
 
-/// A memoized multi-hart co-run profile replays identically: the second
-/// `profile()` of the same spec reproduces guest stats, per-hart
-/// checksums and host profiles exactly from the recorded trace.
+/// A memoized multi-hart co-run trace replays identically: a host first
+/// profiled on the cached stream gets exactly the guest stats, per-hart
+/// checksums and host profile of a live engine on a cold run.
 #[test]
 fn corun_profiles_replay_identically_from_memoized_traces() {
     use gem5_profiling::prof::experiment::{profile, GuestSpec, HostSetup};
-    let hosts = [HostSetup::platform(&platforms::intel_xeon())];
+    use gem5_profiling::prof::runner::{clear_cache, threads};
+    use gem5_profiling::prof::with_threads;
+    let hosts = [platforms::intel_xeon(), platforms::m1_pro()].map(|p| HostSetup::platform(&p));
     let spec = GuestSpec::new(
         Workload::Micro(Microbench::MemStride),
         Scale::Test,
@@ -216,12 +223,29 @@ fn corun_profiles_replay_identically_from_memoized_traces() {
     .with_harts(4)
     .with_corun(Microbench::Alu)
     .with_corun_div(2);
-    let first = profile(&spec, &hosts);
-    let second = profile(&spec, &hosts);
-    assert_eq!(first.guest, second.guest, "replayed guest stats diverged");
-    assert_eq!(first.hosts, second.hosts, "replayed host profiles diverged");
+    // fig17 profiles this guest too: holding the thread-override lock
+    // keeps the fig17 test's cache clears and results out of the middle.
+    let (first, replayed, cold) = with_threads(threads(), || {
+        clear_cache();
+        let first = profile(&spec, &hosts[..1]);
+        let replayed = profile(&spec, &hosts[1..]);
+        clear_cache();
+        (first, replayed, profile(&spec, &hosts))
+    });
+    assert_eq!(first.guest, cold.guest, "cold guest stats diverged");
+    assert_eq!(replayed.guest, cold.guest, "replayed guest stats diverged");
     assert_eq!(
-        first.profile, second.profile,
+        first.hosts[..],
+        cold.hosts[..1],
+        "live host profiles diverged"
+    );
+    assert_eq!(
+        replayed.hosts[..],
+        cold.hosts[1..],
+        "replayed host profiles diverged"
+    );
+    assert_eq!(
+        replayed.profile, cold.profile,
         "replayed call profile diverged"
     );
     let expected: Vec<u64> = (0..4)

@@ -3,22 +3,35 @@
 //!
 //! The comparison is on the rendered `Table` (its `Display` output —
 //! exactly what `repro` prints), so any divergence in row order, value
-//! or formatting fails the test.
+//! or formatting fails the test. Each leg clears the trace cache first,
+//! so both simulate and run their host engines at their own thread
+//! count rather than read the other leg's memoized results.
 
 use gem5_profiling::prof::figures::{fig01, fig14, Fidelity};
+use gem5_profiling::prof::report::Table;
+use gem5_profiling::prof::runner::clear_cache;
 use gem5_profiling::prof::{threads, with_threads};
+
+/// `figure` rendered at `n` threads from a cold trace cache. The cache
+/// is cleared under the thread pin, which serializes the legs.
+fn cold_at(n: usize, figure: fn(Fidelity) -> Table) -> String {
+    with_threads(n, || {
+        clear_cache();
+        figure(Fidelity::Quick).to_string()
+    })
+}
 
 #[test]
 fn fig01_is_byte_identical_across_thread_counts() {
-    let parallel = with_threads(4, || fig01(Fidelity::Quick).to_string());
-    let single = with_threads(1, || fig01(Fidelity::Quick).to_string());
+    let parallel = cold_at(4, fig01);
+    let single = cold_at(1, fig01);
     assert_eq!(parallel, single, "fig01 diverged between 4 and 1 threads");
 }
 
 #[test]
 fn fig14_is_byte_identical_across_thread_counts() {
-    let parallel = with_threads(4, || fig14(Fidelity::Quick).to_string());
-    let single = with_threads(1, || fig14(Fidelity::Quick).to_string());
+    let parallel = cold_at(4, fig14);
+    let single = cold_at(1, fig14);
     assert_eq!(parallel, single, "fig14 diverged between 4 and 1 threads");
 }
 

@@ -154,9 +154,17 @@ fn server_flow_end_to_end() {
     assert!(text
         .lines()
         .any(|l| l.starts_with("gem5prof_result_cache_hits_total")));
-    assert!(text
-        .lines()
-        .any(|l| l.starts_with("gem5prof_trace_cache_hits_total")));
+    for series in [
+        "gem5prof_trace_cache_hits_total",
+        "gem5prof_trace_cache_host_memo_hits_total",
+        "gem5prof_trace_cache_host_replays_total",
+    ] {
+        assert!(
+            text.lines().any(|l| l.starts_with(series)),
+            "missing {series}:
+{text}"
+        );
+    }
     // One source of truth: the result-cache hit count /metrics reports
     // matches what /stats reported a moment ago (both only grow).
     let metrics_hits = text
