@@ -21,7 +21,7 @@ use crate::report::Table;
 use gem5sim::config::{CpuModel, SimMode};
 use gem5sim::observe::CompClass;
 use gem5sim_workloads::Workload;
-use hostmodel::HostEngine;
+use hostmodel::HostBatch;
 use hosttrace::{BinaryVariant, PageBacking};
 use platforms::intel_xeon;
 
@@ -30,12 +30,12 @@ use crate::figures::Fidelity;
 /// Runs one guest simulation with `comp`'s host work accelerated 10x,
 /// returning host seconds on the Xeon.
 fn run_scaled(guest: &GuestSpec, comp: CompClass) -> f64 {
-    let mut engines = vec![HostEngine::new(
+    let batch = HostBatch::new(vec![(
         intel_xeon().config,
         registry_for(BinaryVariant::Base, PageBacking::Base),
-    )];
-    simulate(guest, &mut engines, Some((comp, 0.1)));
-    engines.pop().expect("one engine").finish().seconds()
+    )]);
+    let (.., batch) = simulate(guest, batch, Some((comp, 0.1)));
+    batch.finish()[0].seconds()
 }
 
 /// Sec. VI: speedup from 10x-accelerating each component class alone.

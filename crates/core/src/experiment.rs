@@ -6,19 +6,20 @@
 //! never touch the simulator, for as long as the stream stays in the
 //! trace cache (whose total [`TRACE_CACHE_CAP`] bounds). They take the
 //! host results memoized with the stream as they are and feed the
-//! recorded stream only into fresh engines for the setups not yet
-//! memoized, memoizing those too. Both paths hand the engines the
-//! identical stream through [`hosttrace::record::feed`], spread over
-//! [`runner::threads`] threads, so results never depend on whether they
-//! were simulated, replayed or memoized, nor on the thread count.
+//! recorded stream only to a batch of the setups not yet memoized,
+//! memoizing those too. Both paths hand one [`HostBatch`] per call the
+//! identical stream through [`hosttrace::record::feed`]; the batch runs
+//! each distinct host structure once and equals one `HostEngine` per
+//! setup, so results never depend on whether they were simulated,
+//! replayed or memoized, nor on the thread count.
 
 use crate::runner::{self, CachedGuest, TRACE_CACHE_CAP};
 use gem5sim::config::{CpuModel, SimMode, SystemConfig};
 use gem5sim::observe::{CompClass, ExecutionObserver, Obs};
 use gem5sim::system::{SimResult, System};
 use gem5sim_workloads::{Microbench, Scale, Workload};
-use hostmodel::{HostEngine, HostRunStats};
-use hosttrace::record::{feed, RecordingSink, TraceEvent};
+use hostmodel::{HostBatch, HostRunStats};
+use hosttrace::record::{feed, RecordingSink, TraceEvent, TraceSink};
 use hosttrace::{BinaryVariant, CallProfile, PageBacking, Registry, TraceAdapter};
 use platforms::{Platform, SystemKnobs};
 use specgen::SpecBenchmark;
@@ -193,9 +194,8 @@ pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
             hosts_from_cache(&cached, hosts),
         ),
         None => {
-            let mut engines: Vec<HostEngine> = hosts.iter().map(engine).collect();
-            let (result, profile, events) = simulate(guest, &mut engines, None);
-            let stats: Vec<HostRunStats> = engines.into_iter().map(HostEngine::finish).collect();
+            let (result, profile, events, batch) = simulate(guest, batch(hosts), None);
+            let stats = finish(batch);
             if let Some(events) = events {
                 let entry = CachedGuest::new(result.clone(), profile.clone(), events);
                 for (h, s) in hosts.iter().zip(&stats) {
@@ -215,18 +215,21 @@ pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
 }
 
 /// `hosts` evaluated on a cached stream: memoized results as they are,
-/// the rest by replaying the stream into fresh engines, then memoized.
+/// the rest by replaying the stream into one batch, then memoized. Equal
+/// setups replay once.
 fn hosts_from_cache(cached: &CachedGuest, hosts: &[HostSetup]) -> Vec<HostRunStats> {
     let mut stats: Vec<Option<HostRunStats>> = hosts.iter().map(|h| cached.memoized(h)).collect();
     let todo: Vec<usize> = (0..hosts.len()).filter(|&i| stats[i].is_none()).collect();
-    runner::count_host_results(hosts.len() - todo.len(), todo.len());
-    if !todo.is_empty() {
+    if todo.is_empty() {
+        runner::count_host_results(hosts.len(), 0);
+    } else {
         let _replay = gem5prof_obs::span("replay");
-        let mut engines: Vec<HostEngine> = todo.iter().map(|&i| engine(&hosts[i])).collect();
-        feed(&cached.events, &mut engines, runner::threads());
-        for (&i, e) in todo.iter().zip(engines) {
-            let s = e.finish();
-            cached.remember(&hosts[i], &s);
+        let todo_hosts: Vec<HostSetup> = todo.iter().map(|&i| hosts[i].clone()).collect();
+        let mut batch = batch(&todo_hosts);
+        runner::count_host_results(hosts.len() - todo.len(), batch.distinct_setups());
+        feed(&cached.events, &mut batch);
+        for ((&i, h), s) in todo.iter().zip(&todo_hosts).zip(finish(batch)) {
+            cached.remember(h, &s);
             stats[i] = Some(s);
         }
     }
@@ -236,28 +239,38 @@ fn hosts_from_cache(cached: &CachedGuest, hosts: &[HostSetup]) -> Vec<HostRunSta
         .collect()
 }
 
-/// A fresh host engine for `setup`.
-fn engine(setup: &HostSetup) -> HostEngine {
-    HostEngine::new(
-        setup.config.clone(),
-        registry_for(setup.binary, setup.backing),
+/// The batch's results. Its last pass is host-model time, so it goes in
+/// a `host_engines` span like every chunk `feed` hands it.
+fn finish(batch: HostBatch) -> Vec<HostRunStats> {
+    let _span = gem5prof_obs::span("host_engines");
+    batch.finish()
+}
+
+/// One batch evaluating every setup in `hosts`.
+fn batch(hosts: &[HostSetup]) -> HostBatch {
+    HostBatch::new(
+        hosts
+            .iter()
+            .map(|h| (h.config.clone(), registry_for(h.binary, h.backing)))
+            .collect(),
     )
 }
 
-/// Simulates `guest` once, feeding the adapter's output to `engines` chunk
-/// by chunk while recording it. Returns the guest results, the call profile
-/// and the recording if it has at most [`TRACE_CACHE_CAP`] events.
-/// `work_scale` scales one component's host work (Sec. VI); such a stream
-/// is not the spec's, so it is never recorded.
-pub(crate) fn simulate(
+/// Simulates `guest` once, feeding the adapter's output to `sink` (a
+/// [`HostBatch`] outside tests) chunk by chunk while recording it. Returns
+/// the guest results, the call profile, the recording if it has at most
+/// [`TRACE_CACHE_CAP`] events, and the fed sink. `work_scale` scales one
+/// component's host work (Sec. VI); such a stream is not the spec's, so
+/// it is never recorded.
+pub(crate) fn simulate<S: TraceSink + 'static>(
     guest: &GuestSpec,
-    engines: &mut Vec<HostEngine>,
+    sink: S,
     work_scale: Option<(CompClass, f32)>,
-) -> (SimResult, CallProfile, Option<Vec<TraceEvent>>) {
+) -> (SimResult, CallProfile, Option<Vec<TraceEvent>>, S) {
     let cap = work_scale.map_or(TRACE_CACHE_CAP, |_| 0);
     let mut adapter = TraceAdapter::new(
         registry_for(BinaryVariant::Base, PageBacking::Base),
-        RecordingSink::with_sinks(cap, std::mem::take(engines), runner::threads()),
+        RecordingSink::with_sink(cap, sink),
     );
     if let Some((comp, factor)) = work_scale {
         adapter.set_work_scale(comp, factor);
@@ -299,41 +312,87 @@ pub(crate) fn simulate(
         .expect("system dropped; adapter is uniquely owned")
         .into_inner()
         .into_parts();
-    let (events, fed) = recorder.finish();
-    *engines = fed;
-    (result, profile, events)
+    let (events, sink) = recorder.finish();
+    (result, profile, events, sink)
 }
 
 /// Profiles a bare-metal SPEC reference benchmark on several hosts.
+///
+/// Memoized by (bench, whole setup, records), never evicted: the keys
+/// come only from Figs. 2–6 and the ablation study, so the memo holds a
+/// few dozen results. Hits count as `host_memo_hits`; the setups not yet
+/// memoized run as one batch per binary model.
 pub fn profile_spec(bench: SpecBenchmark, hosts: &[HostSetup], records: u64) -> Vec<HostRunStats> {
-    hosts
-        .iter()
-        .map(|h| {
-            let reg = registry_for(h.binary, h.backing);
-            let mut engine = HostEngine::new(h.config.clone(), Arc::clone(&reg));
-            bench.generate(&reg, &mut engine, records);
-            engine.finish()
-        })
+    type Key = (SpecBenchmark, HostSetup, u64);
+    static MEMO: Mutex<Vec<(Key, HostRunStats)>> = Mutex::new(Vec::new());
+    let memo = || MEMO.lock().unwrap_or_else(|e| e.into_inner());
+    let key = |h: &HostSetup| (bench, h.clone(), records);
+    let mut stats: Vec<Option<HostRunStats>> = {
+        let memo = memo();
+        hosts
+            .iter()
+            .map(|h| {
+                let k = key(h);
+                memo.iter().find(|(m, _)| *m == k).map(|(_, s)| s.clone())
+            })
+            .collect()
+    };
+    let todo: Vec<usize> = (0..hosts.len()).filter(|&i| stats[i].is_none()).collect();
+    runner::count_host_results(hosts.len() - todo.len(), 0);
+    let mut groups: Vec<((BinaryVariant, PageBacking), Vec<usize>)> = Vec::new();
+    for &i in &todo {
+        let reg = (hosts[i].binary, hosts[i].backing);
+        match groups.iter_mut().find(|(r, _)| *r == reg) {
+            Some((_, g)) => g.push(i),
+            None => groups.push((reg, vec![i])),
+        }
+    }
+    for ((binary, backing), group) in groups {
+        let setups: Vec<HostSetup> = group.iter().map(|&i| hosts[i].clone()).collect();
+        let mut b = batch(&setups);
+        bench.generate(&registry_for(binary, backing), &mut b, records);
+        let mut memo = memo();
+        for ((&i, h), s) in group.iter().zip(&setups).zip(b.finish()) {
+            let k = key(h);
+            if !memo.iter().any(|(m, _)| *m == k) {
+                memo.push((k, s.clone()));
+            }
+            stats[i] = Some(s);
+        }
+    }
+    stats
+        .into_iter()
+        .map(|s| s.expect("memoized or profiled"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hostmodel::HostEngine;
+    use hosttrace::FanoutSink;
     use platforms::{intel_xeon, m1_pro};
 
     fn quick(cpu: CpuModel) -> GuestSpec {
         GuestSpec::new(Workload::Dedup, Scale::Test, cpu, SimMode::Se)
     }
 
-    /// `guest` simulated afresh into live engines, bypassing the trace
-    /// cache (which other tests share and may clear).
+    /// `guest` simulated afresh into live engines, one per setup,
+    /// bypassing the trace cache (which other tests share and may clear)
+    /// and the batch.
     fn live(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
-        let mut engines = hosts.iter().map(engine).collect();
-        let (result, profile, _) = simulate(guest, &mut engines, None);
+        let engines = hosts
+            .iter()
+            .map(|h| HostEngine::new(h.config.clone(), registry_for(h.binary, h.backing)))
+            .collect();
+        let (result, profile, _, engines) = simulate(guest, FanoutSink::new(engines), None);
         ProfileRun {
             guest: result,
-            hosts: engines.into_iter().map(HostEngine::finish).collect(),
+            hosts: engines
+                .into_inner()
+                .into_iter()
+                .map(HostEngine::finish)
+                .collect(),
             profile,
             registry: registry_for(BinaryVariant::Base, PageBacking::Base),
         }
@@ -341,8 +400,8 @@ mod tests {
 
     #[test]
     fn fanout_hosts_see_identical_streams() {
-        // Live, so two engines are fed (on two threads when the runner
-        // has them) rather than read from another test's memo.
+        // Live, so two engines are fed rather than read from another
+        // test's memo.
         let xeon = HostSetup::platform(&intel_xeon());
         let run = live(&quick(CpuModel::Atomic), &[xeon.clone(), xeon]);
         assert_eq!(run.hosts.len(), 2);
@@ -426,6 +485,25 @@ mod tests {
         let stats = profile_spec(SpecBenchmark::X264, &hosts, 5000);
         assert_eq!(stats.len(), 1);
         assert!(stats[0].ipc() > 1.0);
+    }
+
+    #[test]
+    fn spec_profiles_are_memoized_and_match_live_engines() {
+        let hosts = [
+            HostSetup::platform(&intel_xeon()),
+            HostSetup::platform(&m1_pro()),
+        ];
+        let first = profile_spec(SpecBenchmark::Mcf, &hosts, 3_000);
+        let hits = runner::cache_stats().host_memo_hits;
+        let second = profile_spec(SpecBenchmark::Mcf, &hosts, 3_000);
+        assert!(runner::cache_stats().host_memo_hits >= hits + 2);
+        assert_eq!(first, second);
+        for (h, s) in hosts.iter().zip(&first) {
+            let reg = registry_for(h.binary, h.backing);
+            let mut e = HostEngine::new(h.config.clone(), Arc::clone(&reg));
+            SpecBenchmark::Mcf.generate(&reg, &mut e, 3_000);
+            assert_eq!(&e.finish(), s);
+        }
     }
 
     #[test]

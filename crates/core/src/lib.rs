@@ -15,8 +15,9 @@
 //!                       │                             │  per stream)
 //!                       │ record::feed               │ hit: record::feed, for
 //!                       ▼ (64 Ki-event chunks)       ▼ setups not memoized
-//!          hostmodel::HostEngine × N host platforms / knob settings
-//!                       (spread over the runner's threads)
+//!          hostmodel::HostBatch of N host platforms / knob settings
+//!                       (each distinct cache, TLB, DSB and predictor
+//!                        simulated once; per-setup Top-Down accounting)
 //!                       │
 //!                       ▼
 //!            Top-Down profiles, miss rates, "host seconds"

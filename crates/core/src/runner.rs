@@ -12,15 +12,13 @@
 //! used streams are evicted once the cached total would pass it. Each
 //! cached stream also memoizes the host results computed from it, keyed
 //! by the whole [`HostSetup`] and at most [`HOST_MEMO_CAP`] of them, so a
-//! later profile replays the stream only into engines for new setups.
-//! [`threads`] also sets how many threads `hosttrace::record::feed`
-//! spreads one profile's engines over.
+//! later profile replays the stream only into a batch of the new setups.
 //!
 //! Determinism contract: `parallel_map(items, f)[i] == f(&items[i])`,
 //! assembled in input order, for any thread count and any interleaving.
 //! Profiling is deterministic per spec (replayed streams are exactly the
-//! recorded streams, each engine sees them in order on one thread, and
-//! a memoized result is the one that engine produced), so whole figures
+//! recorded streams, each host batch sees them in order on one thread,
+//! and a memoized result is the one that batch produced), so whole figures
 //! are byte-identical whether built on 1 thread or N.
 //!
 //! Thread count resolution order: [`with_threads`] override, then
@@ -369,17 +367,19 @@ pub struct TraceCacheStats {
     /// Events currently resident across all cached streams (at most
     /// [`TRACE_CACHE_CAP`]).
     pub resident_events: u64,
-    /// Host-engine results served from a cached stream's memo.
+    /// Host results served from a memo: a cached stream's, or the SPEC
+    /// reference profiles'.
     pub host_memo_hits: u64,
-    /// Host engines fed from a cached stream.
+    /// Distinct host setups fed from a cached stream.
     pub host_replays: u64,
 }
 
 static HOST_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 static HOST_REPLAYS: AtomicU64 = AtomicU64::new(0);
 
-/// Counts one cache hit's host results: `memo_hits` served from the memo,
-/// `replays` computed by feeding the cached stream to fresh engines.
+/// Counts host results served from a memo (`memo_hits`) and distinct
+/// setups computed by feeding a cached stream to a fresh batch
+/// (`replays`).
 pub(crate) fn count_host_results(memo_hits: usize, replays: usize) {
     HOST_MEMO_HITS.fetch_add(memo_hits as u64, Ordering::Relaxed);
     HOST_REPLAYS.fetch_add(replays as u64, Ordering::Relaxed);
@@ -405,13 +405,13 @@ fn cache() -> MutexGuard<'static, LruCache<GuestSpec, Arc<CachedGuest>>> {
             ));
             samples.push(Sample::plain(
                 "gem5prof_trace_cache_host_memo_hits_total",
-                "host-engine results served from a cached stream's memo",
+                "host results served from a memo (a cached stream's or the SPEC profiles')",
                 MetricKind::Counter,
                 HOST_MEMO_HITS.load(Ordering::Relaxed) as f64,
             ));
             samples.push(Sample::plain(
                 "gem5prof_trace_cache_host_replays_total",
-                "host engines fed from a cached stream",
+                "distinct host setups fed from a cached stream",
                 MetricKind::Counter,
                 HOST_REPLAYS.load(Ordering::Relaxed) as f64,
             ));

@@ -7,7 +7,7 @@ use crate::config::HostConfig;
 use crate::dsb::{Dsb, WINDOW};
 use crate::stats::HostRunStats;
 use crate::tlb::{HostTlb, TlbResult};
-use crate::topdown::TopDown;
+use crate::topdown::{BeMem, TopDown};
 use hosttrace::record::{DataRef, ExecRecord, TraceSink};
 use hosttrace::registry::Registry;
 use hosttrace::{mix2, mix64};
@@ -21,6 +21,279 @@ const STACK_BASE: u64 = 0x7FFF_F000_0000;
 /// reached through member pointers (distinct from the instrumented
 /// state regions reported via [`DataRef`]s).
 const HEAP_BASE: u64 = 0x20_0000_0000;
+
+/// Host address of function `fid`'s `j`-th local load: mostly stack (hot,
+/// tiny), with every fourth load reaching the heap.
+#[inline]
+pub(crate) fn local_load_addr(fid: u64, j: u64) -> u64 {
+    if is_heap_load(j) {
+        HEAP_BASE + (mix2(fid, j) % (1_500_000 / 64)) * 64
+    } else {
+        STACK_BASE + (fid.wrapping_mul(968) + j * 64) % 10240
+    }
+}
+
+/// Whether local load `j` reaches the heap (and so looks up the dTLB).
+#[inline]
+pub(crate) fn is_heap_load(j: u64) -> bool {
+    j % 4 == 3
+}
+
+/// Host address of function `fid`'s `j`-th local store (stack).
+#[inline]
+pub(crate) fn local_store_addr(fid: u64, j: u64) -> u64 {
+    STACK_BASE + (fid.wrapping_mul(968) + 5120 + j * 64) % 10240
+}
+
+/// The code one invocation fetches: its byte range `[start, end)` and
+/// where its branch sites sit. Successive invocations take different
+/// paths through the function body, so the span start rotates within it;
+/// branch sites are static program points in per-function 256 B regions,
+/// so sites recur and predictors can learn them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Fetch {
+    pub start: u64,
+    pub end: u64,
+    pub site_base: u64,
+    /// The function's code size.
+    pub size: u64,
+    /// Percent of the function's conditional branches taken.
+    pub taken_rate: u8,
+}
+
+impl Fetch {
+    #[inline]
+    pub(crate) fn of(reg: &Registry, r: &ExecRecord, bytes_per_uop: f64) -> Self {
+        let meta = reg.meta(r.func);
+        let (addr, size) = (meta.addr, meta.size as u64);
+        let bytes = ((r.uops as f64 * bytes_per_uop) as u64).max(16);
+        let span = bytes.min(size + 16); // longer executions loop in place
+        let off = ((r.variant as u64) * 96) % (size.saturating_sub(span) + 1);
+        Fetch {
+            start: addr + off,
+            end: addr + off + span,
+            site_base: addr + (off & !255),
+            size,
+            taken_rate: meta.taken_rate,
+        }
+    }
+
+    /// Site of the record's `j`-th conditional branch.
+    #[inline]
+    pub(crate) fn cond_site(&self, j: u64) -> u64 {
+        self.site_base + 16 + (j * 24) % self.size.max(24)
+    }
+
+    /// Site of the record's `j`-th indirect branch.
+    #[inline]
+    pub(crate) fn indirect_site(&self, j: u64) -> u64 {
+        self.site_base + 8 + j * 40
+    }
+
+    /// Target of an indirect branch at `site` in invocation `variant`.
+    /// Site polymorphism: most virtual call sites are monomorphic in
+    /// practice; a minority see several receiver types.
+    #[inline]
+    pub(crate) fn indirect_target(site: u64, variant: u32) -> u64 {
+        let h = mix64(site ^ 0xD15EA5E);
+        let poly = if h.is_multiple_of(8) {
+            2 + mix64(h) % 4
+        } else {
+            1
+        };
+        mix2(site, variant as u64 % poly)
+    }
+
+    /// The record's first µop-cache window and how many windows its span
+    /// covers (at least one).
+    #[inline]
+    pub(crate) fn windows(&self) -> (u64, u64) {
+        let wstart = self.start & !(WINDOW - 1);
+        (wstart, (self.end - wstart).div_ceil(WINDOW).max(1))
+    }
+}
+
+// The Top-Down rules: what one modeled event adds to which bucket. The
+// engine and the batch's accounting (`crate::batch`) both call these, in
+// the same order per bucket, so their sums agree to the bit.
+
+/// Where an L1 miss is filled from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fill {
+    L2,
+    Llc,
+    Dram,
+}
+
+/// Cycles an L1 miss waits for its fill.
+#[inline]
+pub(crate) fn fill_latency(cfg: &HostConfig, fill: Fill) -> u64 {
+    match fill {
+        Fill::L2 => cfg.l2_lat,
+        Fill::Llc => cfg.llc_lat,
+        Fill::Dram => cfg.dram_lat,
+    }
+}
+
+/// Cycles a TLB lookup costs before any overlap.
+#[inline]
+pub(crate) fn tlb_latency(cfg: &HostConfig, r: TlbResult) -> u64 {
+    match r {
+        TlbResult::L1Hit => 0,
+        TlbResult::StlbHit => cfg.stlb_lat,
+        TlbResult::Walk => cfg.walk_lat,
+    }
+}
+
+/// One record's iCache fills, `fetch_pen` cycles in all, overlapped
+/// `fetch_mlp` ways.
+#[inline]
+pub(crate) fn account_icache(icache: &mut f64, cfg: &HostConfig, fetch_pen: u64) {
+    *icache += fetch_pen as f64 / cfg.fetch_mlp;
+}
+
+/// One record's iTLB misses, `itlb_pen` cycles in all. Page walks
+/// serialize instruction delivery far more than line fills do; only
+/// adjacent-fetch overlap (x2) hides them.
+#[inline]
+pub(crate) fn account_itlb(td: &mut TopDown, itlb_pen: u64) {
+    td.fe_latency.itlb += itlb_pen as f64 / 2.0;
+}
+
+/// A mispredicted conditional branch: wrong-path work is bad
+/// speculation; the fetch redirect is a front-end resteer.
+#[inline]
+pub(crate) fn account_mispredict(td: &mut TopDown, cfg: &HostConfig) {
+    let penalty = cfg.mispredict_penalty as f64;
+    td.bad_speculation += penalty * 0.55;
+    td.fe_latency.mispredict_resteers += penalty * 0.45;
+}
+
+/// A correctly predicted conditional branch the front end could not
+/// target.
+#[inline]
+pub(crate) fn account_unknown_cond(td: &mut TopDown, cfg: &HostConfig) {
+    td.fe_latency.unknown_branches += cfg.resteer_cycles as f64 * 0.6;
+}
+
+/// An indirect branch whose target the BTB missed.
+#[inline]
+pub(crate) fn account_unknown_indirect(td: &mut TopDown, cfg: &HostConfig) {
+    td.fe_latency.unknown_branches += cfg.resteer_cycles as f64;
+}
+
+/// The rest of one record's front end and core: retiring at full width,
+/// the decode shortfall, machine clears and residual core stalls.
+/// `dsb_frac` of its µops come from the µop cache. Called after the
+/// record's branches, which also add to bad speculation.
+#[inline]
+pub(crate) fn account_exec(td: &mut TopDown, cfg: &HostConfig, r: &ExecRecord, dsb_frac: f64) {
+    let uopsf = r.uops as f64;
+    let width = cfg.width as f64;
+    let base = uopsf / width;
+    td.retiring += base;
+
+    // Decode: the record's µops are apportioned to the DSB and MITE
+    // supply paths by the fraction of its fetch windows resident in the
+    // µop cache.
+    let mite_uops_f = uopsf * (1.0 - dsb_frac);
+    let decode_cycles =
+        mite_uops_f / cfg.mite_width + (uopsf - mite_uops_f) / cfg.dsb_width.max(1.0);
+    let deficit = (decode_cycles - base).max(0.0);
+    if deficit > 0.0 {
+        // Attribute the shortfall to the slow component first: the
+        // legacy decoders. The DSB only appears when it is itself the
+        // limiter (Intel's accounting does the same, which is why the
+        // paper sees 92-97% MITE).
+        let mite_excess = (mite_uops_f / cfg.mite_width - mite_uops_f / width).max(0.0);
+        let to_mite = deficit.min(mite_excess);
+        td.fe_bandwidth.mite += to_mite;
+        td.fe_bandwidth.dsb += deficit - to_mite;
+    }
+
+    // Machine clears (memory-order nukes etc.) are rare and tied to
+    // store traffic.
+    let penalty = cfg.mispredict_penalty as f64;
+    td.fe_latency.clear_resteers += r.stores as f64 * 0.004 * penalty * 0.3;
+    td.bad_speculation += r.stores as f64 * 0.004 * penalty * 0.7;
+
+    // Residual core stalls: long dependency chains, division.
+    td.be_core += uopsf * 0.012;
+}
+
+/// A heap load's dTLB lookup.
+#[inline]
+pub(crate) fn account_load_dtlb(be: &mut BeMem, cfg: &HostConfig, r: TlbResult) {
+    if r != TlbResult::L1Hit {
+        be.l2 += tlb_latency(cfg, r) as f64 / cfg.mlp;
+    }
+}
+
+/// A data record's dTLB lookup; page walks amortize over prefetched
+/// streams like the fills do (`stream_factor`).
+#[inline]
+pub(crate) fn account_data_dtlb(
+    be: &mut BeMem,
+    cfg: &HostConfig,
+    r: TlbResult,
+    stream_factor: f64,
+) {
+    if r != TlbResult::L1Hit {
+        be.l2 += tlb_latency(cfg, r) as f64 * (stream_factor / cfg.mlp);
+    }
+}
+
+/// An L1D miss filled from `fill`. Writes drain through the store
+/// buffer, mostly hidden; `stream_factor` is what the prefetcher leaves
+/// of a data record's stall (1 for function-local data).
+#[inline]
+pub(crate) fn account_data_miss(
+    be: &mut BeMem,
+    cfg: &HostConfig,
+    fill: Fill,
+    write: bool,
+    stream_factor: f64,
+) {
+    let factor = if write { 0.15 } else { 1.0 };
+    let cycles = fill_latency(cfg, fill) as f64 * factor * stream_factor / cfg.mlp;
+    match fill {
+        Fill::L2 => be.l2 += cycles,
+        Fill::Llc => be.llc += cycles,
+        Fill::Dram => be.dram += cycles,
+    }
+}
+
+/// The hardware stride prefetcher over data records. It hides most of
+/// the cost of forward-sequential streams: the paper's Sec. IV-A notes
+/// gem5's "predictable data cache accesses ... efficiently captured by
+/// the hardware prefetchers".
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Prefetcher {
+    last_line: u64,
+}
+
+impl Prefetcher {
+    pub(crate) fn new() -> Self {
+        Prefetcher {
+            last_line: u64::MAX - 8,
+        }
+    }
+
+    /// The share of the stalls of a data record starting in line number
+    /// `line` that the prefetcher leaves exposed.
+    #[inline]
+    pub(crate) fn stream_factor(&mut self, cfg: &HostConfig, line: u64) -> f64 {
+        let delta = line.wrapping_sub(self.last_line);
+        // Covers same-line and small forward strides.
+        let prefetched = delta <= 4;
+        self.last_line = line;
+        if prefetched {
+            cfg.prefetch_factor
+        } else {
+            1.0
+        }
+    }
+}
 
 /// The engine. Implements [`TraceSink`]; feed it a stream, then call
 /// [`finish`](HostEngine::finish).
@@ -40,7 +313,9 @@ pub struct HostEngine {
     uops: u64,
     dram_bytes: u64,
     records: u64,
-    last_data_line: u64,
+    prefetch: Prefetcher,
+    line_shift: u32,
+    page_shift: u32,
 }
 
 impl HostEngine {
@@ -60,7 +335,9 @@ impl HostEngine {
             uops: 0,
             dram_bytes: 0,
             records: 0,
-            last_data_line: u64::MAX - 8,
+            prefetch: Prefetcher::new(),
+            line_shift: cfg.line.trailing_zeros(),
+            page_shift: cfg.page.trailing_zeros(),
             cfg,
             reg,
         }
@@ -71,40 +348,16 @@ impl HostEngine {
         &self.cfg
     }
 
-    /// Fills an instruction-side line through L2 → LLC → DRAM; returns
-    /// the raw penalty in cycles.
+    /// Fills a line through L2 → LLC → DRAM; returns where it came from.
     #[inline]
-    fn fill_iside(&mut self, line: u64) -> f64 {
+    fn fill(&mut self, line: u64) -> Fill {
         if self.l2.access(line) {
-            self.cfg.l2_lat as f64
+            Fill::L2
         } else if self.llc.access(line) {
-            self.cfg.llc_lat as f64
+            Fill::Llc
         } else {
             self.dram_bytes += self.cfg.line;
-            self.cfg.dram_lat as f64
-        }
-    }
-
-    /// Fills a data-side line; returns `(penalty, level)` where level
-    /// indexes the Top-Down back-end bucket (0 = L2, 1 = LLC, 2 = DRAM).
-    #[inline]
-    fn fill_dside(&mut self, line: u64) -> (f64, usize) {
-        if self.l2.access(line) {
-            (self.cfg.l2_lat as f64, 0)
-        } else if self.llc.access(line) {
-            (self.cfg.llc_lat as f64, 1)
-        } else {
-            self.dram_bytes += self.cfg.line;
-            (self.cfg.dram_lat as f64, 2)
-        }
-    }
-
-    #[inline]
-    fn be_mem_add(&mut self, level: usize, cycles: f64) {
-        match level {
-            0 => self.td.be_mem.l2 += cycles,
-            1 => self.td.be_mem.llc += cycles,
-            _ => self.td.be_mem.dram += cycles,
+            Fill::Dram
         }
     }
 
@@ -114,7 +367,7 @@ impl HostEngine {
     /// `period = Some(..)`), low-bias sites are data-dependent
     /// (`period = None`).
     #[inline]
-    fn branch_outcome(site: u64, taken_rate: u8, k: u64) -> (bool, Option<u64>) {
+    pub(crate) fn branch_outcome(site: u64, taken_rate: u8, k: u64) -> (bool, Option<u64>) {
         if taken_rate >= 86 {
             let period = 64 + (taken_rate as u64 - 85) * 40 + (mix64(site) % 64);
             ((k + site) % period != 0, Some(period))
@@ -153,65 +406,42 @@ impl HostEngine {
 impl TraceSink for HostEngine {
     fn exec(&mut self, r: ExecRecord) {
         self.records += 1;
-        let meta = self.reg.meta(r.func);
-        let (addr, size, taken_rate) = (meta.addr, meta.size as u64, meta.taken_rate);
+        let f = Fetch::of(&self.reg, &r, self.cfg.bytes_per_uop);
+        let (addr, end) = (f.start, f.end);
         let uops = r.uops as u64;
-        let uopsf = uops as f64;
         self.uops += uops;
-        let width = self.cfg.width as f64;
-        let base = uopsf / width;
-        self.td.retiring += base;
 
-        // --- Instruction fetch: line touches over the executed span.
-        //     Successive invocations take different paths through the
-        //     function body, so the span start rotates within it. ---
-        let bytes = ((uopsf * self.cfg.bytes_per_uop) as u64).max(16);
-        let span = bytes.min(size + 16); // longer executions loop in place
-        let off = ((r.variant as u64) * 96) % (size.saturating_sub(span) + 1);
-        let base_addr = addr;
-        // Branch sites are static program points: the executed path picks
-        // among a per-function set of 256 B regions, so sites recur and
-        // predictors can learn them.
-        let site_base = base_addr + (off & !255);
-        let addr = addr + off;
-        let end = addr + span;
+        // --- Instruction fetch: line touches over the executed span. ---
         let line_mask = !(self.cfg.line - 1);
         let mut line = addr & line_mask;
-        let mut fetch_pen = 0.0;
+        let mut fetch_pen = 0;
         while line < end {
             if !self.l1i.access(line) {
-                fetch_pen += self.fill_iside(line);
+                let fill = self.fill(line);
+                fetch_pen += fill_latency(&self.cfg, fill);
             }
             line += self.cfg.line;
         }
-        self.td.fe_latency.icache += fetch_pen / self.cfg.fetch_mlp;
+        account_icache(&mut self.td.fe_latency.icache, &self.cfg, fetch_pen);
 
         // --- iTLB over the touched pages (huge-page aware). ---
         let page = self.cfg.page;
         let mut paddr = addr & !(page - 1);
-        let mut itlb_pen = 0.0;
+        let mut itlb_pen = 0;
         let mut last_pid = u64::MAX;
         while paddr < end {
             let pid = self.reg.layout().page_id(paddr, page);
             if pid != last_pid {
                 last_pid = pid;
-                match self.itlb.access(pid) {
-                    TlbResult::L1Hit => {}
-                    TlbResult::StlbHit => itlb_pen += self.cfg.stlb_lat as f64,
-                    TlbResult::Walk => itlb_pen += self.cfg.walk_lat as f64,
-                }
+                itlb_pen += tlb_latency(&self.cfg, self.itlb.access(pid));
             }
             paddr += page;
         }
-        // Page walks serialize instruction delivery far more than line
-        // fills do; only adjacent-fetch overlap (x2) hides them.
-        self.td.fe_latency.itlb += itlb_pen / 2.0;
+        account_itlb(&mut self.td, itlb_pen);
 
-        // --- Decode: DSB vs MITE. The record's µops are apportioned to
-        //     the two supply paths by the fraction of its fetch windows
-        //     resident in the µop cache. ---
-        let wstart = addr & !(WINDOW - 1);
-        let n_windows = (end - wstart).div_ceil(WINDOW).max(1);
+        // --- µop cache: the fraction of the record's fetch windows it
+        //     serves. ---
+        let (wstart, n_windows) = f.windows();
         let uops_per_window = (uops / n_windows).max(1);
         let mut hits = 0u64;
         let mut w = wstart;
@@ -226,132 +456,75 @@ impl TraceSink for HostEngine {
         } else {
             0.0
         };
-        let mite_uops_f = uopsf * (1.0 - dsb_frac);
-        let decode_cycles =
-            mite_uops_f / self.cfg.mite_width + (uopsf - mite_uops_f) / self.cfg.dsb_width.max(1.0);
-        let deficit = (decode_cycles - base).max(0.0);
-        if deficit > 0.0 {
-            // Attribute the shortfall to the slow component first: the
-            // legacy decoders. The DSB only appears when it is itself the
-            // limiter (Intel's accounting does the same, which is why the
-            // paper sees 92-97% MITE).
-            let mite_excess = (mite_uops_f / self.cfg.mite_width - mite_uops_f / width).max(0.0);
-            let to_mite = deficit.min(mite_excess);
-            self.td.fe_bandwidth.mite += to_mite;
-            self.td.fe_bandwidth.dsb += deficit - to_mite;
-        }
 
         // --- Conditional branches. ---
-        let penalty = self.cfg.mispredict_penalty as f64;
-        let resteer = self.cfg.resteer_cycles as f64;
         let n_cond = r.cond_branches as u64;
         for j in 0..n_cond {
-            let site = site_base + 16 + (j * 24) % size.max(24);
+            let site = f.cond_site(j);
             let k = r.variant as u64 * n_cond + j;
-            let (outcome, period) = Self::branch_outcome(site, taken_rate, k);
+            let (outcome, period) = Self::branch_outcome(site, f.taken_rate, k);
             // Loop-termination predictors (TAGE-style long history)
             // capture periodic exits up to the machine's reach.
             let loop_covered = period.is_some_and(|p| p <= self.cfg.loop_reach);
-            let (mis, unknown) = self.bp.cond_branch(site, outcome, loop_covered);
-            if mis {
-                // Wrong-path work is bad speculation; the fetch redirect
-                // is a front-end resteer.
-                self.td.bad_speculation += penalty * 0.55;
-                self.td.fe_latency.mispredict_resteers += penalty * 0.45;
-            } else if unknown {
-                self.td.fe_latency.unknown_branches += resteer * 0.6;
+            match self.bp.cond_branch(site, outcome, loop_covered) {
+                (true, _) => account_mispredict(&mut self.td, &self.cfg),
+                (false, true) => account_unknown_cond(&mut self.td, &self.cfg),
+                (false, false) => {}
             }
         }
 
         // --- Indirect branches (virtual dispatch). ---
         for j in 0..r.indirect_branches as u64 {
-            let site = site_base + 8 + j * 40;
-            // Site polymorphism: most virtual call sites are monomorphic
-            // in practice; a minority see several receiver types.
-            let h = mix64(site ^ 0xD15EA5E);
-            let poly = if h % 8 == 0 { 2 + mix64(h) % 4 } else { 1 };
-            let target = mix2(site, r.variant as u64 % poly);
-            if self.bp.indirect_branch(site, target) {
-                self.td.fe_latency.unknown_branches += resteer;
+            let site = f.indirect_site(j);
+            if self
+                .bp
+                .indirect_branch(site, Fetch::indirect_target(site, r.variant))
+            {
+                account_unknown_indirect(&mut self.td, &self.cfg);
             }
         }
 
-        // --- Machine clears (memory-order nukes etc.) are rare and tied
-        //     to store traffic. ---
-        self.td.fe_latency.clear_resteers += r.stores as f64 * 0.004 * penalty * 0.3;
-        self.td.bad_speculation += r.stores as f64 * 0.004 * penalty * 0.7;
+        account_exec(&mut self.td, &self.cfg, &r, dsb_frac);
 
         // --- Function-local data: mostly stack (hot, tiny), with every
-        //     third load reaching the heap — SimObject fields scattered by
+        //     fourth load reaching the heap — SimObject fields scattered by
         //     the allocator over ~1.5 MB of pages. The heap lines are hot
         //     (revisited each invocation) but the *pages* are many: this
         //     is what pressures the dTLB without pressuring DRAM, as the
         //     paper observes. ---
         let fid = r.func.0 as u64;
         for j in 0..r.loads as u64 {
-            let a = if j % 4 == 3 {
-                HEAP_BASE + (mix2(fid, j) % (1_500_000 / 64)) * 64
-            } else {
-                STACK_BASE + (fid.wrapping_mul(968) + j * 64) % 10240
-            };
-            if j % 4 == 3 {
-                let pid = a / self.cfg.page;
-                match self.dtlb.access(pid) {
-                    TlbResult::L1Hit => {}
-                    TlbResult::StlbHit => {
-                        self.td.be_mem.l2 += self.cfg.stlb_lat as f64 / self.cfg.mlp
-                    }
-                    TlbResult::Walk => self.td.be_mem.l2 += self.cfg.walk_lat as f64 / self.cfg.mlp,
-                }
+            let a = local_load_addr(fid, j);
+            if is_heap_load(j) {
+                let tlb = self.dtlb.access(a >> self.page_shift);
+                account_load_dtlb(&mut self.td.be_mem, &self.cfg, tlb);
             }
             if !self.l1d.access(a) {
-                let (pen, lvl) = self.fill_dside(a & line_mask);
-                self.be_mem_add(lvl, pen / self.cfg.mlp);
+                let fill = self.fill(a & line_mask);
+                account_data_miss(&mut self.td.be_mem, &self.cfg, fill, false, 1.0);
             }
         }
         for j in 0..r.stores as u64 {
-            let a = STACK_BASE + (fid.wrapping_mul(968) + 5120 + j * 64) % 10240;
+            let a = local_store_addr(fid, j);
             if !self.l1d.access(a) {
-                let (pen, lvl) = self.fill_dside(a & line_mask);
-                // Stores drain through the store buffer: mostly hidden.
-                self.be_mem_add(lvl, pen * 0.15 / self.cfg.mlp);
+                let fill = self.fill(a & line_mask);
+                account_data_miss(&mut self.td.be_mem, &self.cfg, fill, true, 1.0);
             }
         }
-
-        // --- Residual core stalls: long dependency chains, division. ---
-        self.td.be_core += uopsf * 0.012;
     }
 
     fn data(&mut self, d: DataRef) {
-        // Hardware stride prefetchers hide most of the cost of
-        // forward-sequential streams (and page walks amortize over them):
-        // the paper's Sec. IV-A notes gem5's "predictable data cache
-        // accesses ... efficiently captured by the hardware prefetchers".
-        let this_line = d.addr / self.cfg.line;
-        let delta = this_line.wrapping_sub(self.last_data_line);
-        let prefetched = delta <= 4; // covers same-line and small forward strides
-        self.last_data_line = this_line;
-        let stream_factor = if prefetched {
-            self.cfg.prefetch_factor
-        } else {
-            1.0
-        };
-
-        let pid = d.addr / self.cfg.page;
-        let walk_factor = stream_factor / self.cfg.mlp;
-        match self.dtlb.access(pid) {
-            TlbResult::L1Hit => {}
-            TlbResult::StlbHit => self.td.be_mem.l2 += self.cfg.stlb_lat as f64 * walk_factor,
-            TlbResult::Walk => self.td.be_mem.l2 += self.cfg.walk_lat as f64 * walk_factor,
-        }
-        let line_mask = !(self.cfg.line - 1);
-        let mut line = d.addr & line_mask;
+        let stream_factor = self
+            .prefetch
+            .stream_factor(&self.cfg, d.addr >> self.line_shift);
+        let tlb = self.dtlb.access(d.addr >> self.page_shift);
+        account_data_dtlb(&mut self.td.be_mem, &self.cfg, tlb, stream_factor);
+        let mut line = d.addr & !(self.cfg.line - 1);
         let end = d.addr + d.bytes as u64;
         while line < end {
             if !self.l1d.access(line) {
-                let (pen, lvl) = self.fill_dside(line);
-                let factor = if d.write { 0.15 } else { 1.0 };
-                self.be_mem_add(lvl, pen * factor * stream_factor / self.cfg.mlp);
+                let fill = self.fill(line);
+                account_data_miss(&mut self.td.be_mem, &self.cfg, fill, d.write, stream_factor);
             }
             line += self.cfg.line;
         }

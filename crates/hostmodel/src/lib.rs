@@ -21,6 +21,7 @@
 //! Platform configurations for the paper's Table II machines and the
 //! FireSim host live in the `platforms` crate.
 
+pub mod batch;
 pub mod branch;
 pub mod cache;
 pub mod config;
@@ -31,6 +32,7 @@ pub mod stats;
 pub mod tlb;
 pub mod topdown;
 
+pub use batch::HostBatch;
 pub use config::{CacheGeom, HostConfig};
 pub use corun::{corun_adjust, CorunScenario};
 pub use engine::HostEngine;

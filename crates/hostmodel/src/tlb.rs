@@ -2,6 +2,8 @@
 //! the text layout (which collapses huge-page-backed code onto 2 MB page
 //! ids), so page size and huge-page effects flow through naturally.
 
+use crate::cache::renormalize;
+
 /// Result of a two-level TLB lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlbResult {
@@ -38,7 +40,10 @@ impl TlbLevel {
 
     #[inline]
     fn access(&mut self, page: u64) -> bool {
-        self.clock = self.clock.wrapping_add(1);
+        if self.clock == u32::MAX {
+            self.clock = renormalize(&mut self.lru, TLB_WAYS);
+        }
+        self.clock += 1;
         let set = (hosttrace::mix64(page) & self.mask) as usize;
         let base = set * TLB_WAYS;
         let mut victim = base;
@@ -134,6 +139,21 @@ mod tests {
         }
         let r = t.access(0);
         assert_eq!(r, TlbResult::StlbHit);
+    }
+
+    #[test]
+    fn lru_order_survives_the_clock_wrap() {
+        // One 4-way set; the clock wraps between the second and third fill.
+        let mut t = TlbLevel::new(4);
+        t.clock = u32::MAX - 2;
+        for p in 0..4u64 {
+            t.access(p);
+        }
+        t.access(4); // must evict page 0, the least recently used
+        for p in [2, 3, 1, 4] {
+            assert!(t.access(p), "page {p} was evicted");
+        }
+        assert!(!t.access(0));
     }
 
     #[test]

@@ -65,6 +65,8 @@ impl TextLayout {
         if self.contains(addr) && self.is_huge_backed(addr) {
             // Distinguish huge pages from base pages by a high tag bit.
             (addr / HUGE_PAGE) | (1 << 62)
+        } else if host_page.is_power_of_two() {
+            addr >> host_page.trailing_zeros()
         } else {
             addr / host_page
         }

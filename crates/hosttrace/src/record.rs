@@ -56,8 +56,7 @@ impl TraceSink for NullSink {
     fn data(&mut self, _dref: DataRef) {}
 }
 
-/// Fans one stream out to several sinks, event by event. The profiling
-/// pipeline uses [`feed`] instead, which does the same a chunk at a time.
+/// Fans one stream out to several sinks, event by event.
 #[derive(Debug, Default)]
 pub struct FanoutSink<S> {
     /// The downstream sinks.
@@ -103,8 +102,8 @@ pub enum TraceEvent {
 /// Events [`feed`] hands each sink at a time: 65,536 events, 1.5 MiB.
 const CHUNK_EVENTS: usize = 1 << 16;
 
-/// Records the stream, up to a cap, while passing it on to downstream
-/// sinks one [`feed`] chunk at a time; [`finish`](Self::finish) feeds the
+/// Records the stream, up to a cap, while passing it on to a downstream
+/// sink one [`feed`] chunk at a time; [`finish`](Self::finish) feeds the
 /// last, partial chunk. Past `cap` events the recording is dropped and
 /// only the current chunk is held, so memory stays bounded by `cap` plus
 /// one chunk: a long guest simulation is simply not cached.
@@ -115,37 +114,34 @@ pub struct RecordingSink<S = NullSink> {
     fed: usize,
     cap: usize,
     overflowed: bool,
-    sinks: Vec<S>,
-    /// Threads [`feed`] may spread `sinks` over.
-    workers: usize,
+    sink: S,
 }
 
 impl RecordingSink {
-    /// A recorder of at most `cap` events with no downstream sinks.
+    /// A recorder of at most `cap` events with nothing downstream.
     pub fn with_cap(cap: usize) -> Self {
-        Self::with_sinks(cap, Vec::new(), 1)
+        Self::with_sink(cap, NullSink)
     }
 }
 
-impl<S: TraceSink + Send> RecordingSink<S> {
+impl<S: TraceSink> RecordingSink<S> {
     /// A recorder that keeps at most `cap` events and feeds the whole
-    /// stream to `sinks`, spread over up to `workers` threads.
-    pub fn with_sinks(cap: usize, sinks: Vec<S>, workers: usize) -> Self {
+    /// stream to `sink` (several sinks go in a [`FanoutSink`]).
+    pub fn with_sink(cap: usize, sink: S) -> Self {
         RecordingSink {
             events: Vec::new(),
             fed: 0,
             cap,
             overflowed: false,
-            sinks,
-            workers,
+            sink,
         }
     }
 
     /// Feeds the last chunk downstream and returns the complete recorded
-    /// stream — `None` if it exceeded the cap — and the downstream sinks.
-    pub fn finish(mut self) -> (Option<Vec<TraceEvent>>, Vec<S>) {
+    /// stream — `None` if it exceeded the cap — and the downstream sink.
+    pub fn finish(mut self) -> (Option<Vec<TraceEvent>>, S) {
         self.flush();
-        ((!self.overflowed).then_some(self.events), self.sinks)
+        ((!self.overflowed).then_some(self.events), self.sink)
     }
 
     /// The complete recorded stream, or `None` if it exceeded the cap.
@@ -154,7 +150,7 @@ impl<S: TraceSink + Send> RecordingSink<S> {
     }
 
     fn flush(&mut self) {
-        feed(&self.events[self.fed..], &mut self.sinks, self.workers);
+        feed(&self.events[self.fed..], &mut self.sink);
         if self.overflowed || self.events.len() > self.cap {
             self.overflowed = true;
             self.events.clear();
@@ -171,7 +167,7 @@ impl<S: TraceSink + Send> RecordingSink<S> {
     }
 }
 
-impl<S: TraceSink + Send> TraceSink for RecordingSink<S> {
+impl<S: TraceSink> TraceSink for RecordingSink<S> {
     fn exec(&mut self, rec: ExecRecord) {
         self.push(TraceEvent::Exec(rec));
     }
@@ -190,34 +186,14 @@ pub fn replay<S: TraceSink>(events: &[TraceEvent], sink: &mut S) {
     }
 }
 
-/// Hands `events` to every sink one 65,536-event chunk at a time, each
-/// chunk in a `host_engines` span. Within a chunk the sinks are split into
-/// `min(workers, sinks)` contiguous groups: the calling thread replays the
-/// first group and scoped threads replay the rest, sink by sink (one group
-/// spawns nothing). Each sink is on one thread per chunk and the chunks go
-/// in order, so each sees exactly the stream [`replay`] gives it, whatever
-/// `workers` is.
-pub fn feed<S: TraceSink + Send>(events: &[TraceEvent], sinks: &mut [S], workers: usize) {
-    if sinks.is_empty() {
-        return;
-    }
-    let groups = workers.clamp(1, sinks.len());
+/// Hands `events` to `sink` one 65,536-event chunk at a time, each chunk
+/// in a `host_engines` span, so the sink sees exactly the stream
+/// [`replay`] gives it. The profiling pipeline's sink is a
+/// `hostmodel::HostBatch` that evaluates all of a profile's host setups.
+pub fn feed<S: TraceSink>(events: &[TraceEvent], sink: &mut S) {
     for chunk in events.chunks(CHUNK_EVENTS) {
         let _span = gem5prof_obs::span("host_engines");
-        let replay_all = |group: &mut [S]| group.iter_mut().for_each(|s| replay(chunk, s));
-        // Even split, as `runner::parallel_map` does: group g owns
-        // sinks[g*n/groups .. (g+1)*n/groups].
-        let n = sinks.len();
-        let (first, mut rest) = sinks.split_at_mut(n / groups);
-        std::thread::scope(|scope| {
-            for g in 1..groups {
-                let len = (g + 1) * n / groups - g * n / groups;
-                let (group, tail) = std::mem::take(&mut rest).split_at_mut(len);
-                rest = tail;
-                scope.spawn(move || replay_all(group));
-            }
-            replay_all(first);
-        });
+        replay(chunk, sink);
     }
 }
 
@@ -323,8 +299,8 @@ mod tests {
     fn over_cap_recorder_streams_everything_downstream_in_bounded_memory() {
         let input = chunked_stream();
         let cap = CHUNK_EVENTS + 100;
-        let downstream = vec![RecordingSink::with_cap(usize::MAX); 2];
-        let mut r = RecordingSink::with_sinks(cap, downstream, 1);
+        let downstream = FanoutSink::new(vec![RecordingSink::with_cap(usize::MAX); 2]);
+        let mut r = RecordingSink::with_sink(cap, downstream);
         for ev in input.chunks(1) {
             replay(ev, &mut r);
             assert!(
@@ -337,30 +313,28 @@ mod tests {
             recording.is_none(),
             "an over-cap stream must not be recorded"
         );
-        for s in sinks {
+        for s in sinks.into_inner() {
             assert_eq!(s.into_events().expect("uncapped"), input);
         }
     }
 
     #[test]
-    fn fanned_out_sinks_each_see_the_whole_stream_in_order() {
+    fn fed_sinks_each_see_the_whole_stream_in_order() {
         let input = chunked_stream();
-        for workers in [1, 2, 3, 8] {
-            for n in [1, 2, 7] {
-                let fresh = vec![RecordingSink::with_cap(usize::MAX); n];
-                let mut sinks = fresh.clone();
-                feed(&input, &mut sinks, workers);
-                let mut r = RecordingSink::with_sinks(usize::MAX, fresh, workers);
-                replay(&input, &mut r);
-                let (recording, through_recorder) = r.finish();
-                assert_eq!(recording.as_ref(), Some(&input));
-                for (i, s) in sinks.into_iter().chain(through_recorder).enumerate() {
-                    assert_eq!(
-                        s.into_events().expect("uncapped"),
-                        input,
-                        "sink {i} of {n} at {workers} workers"
-                    );
-                }
+        for n in [1, 2, 7] {
+            let fresh = FanoutSink::new(vec![RecordingSink::with_cap(usize::MAX); n]);
+            let mut sinks = FanoutSink::new(fresh.sinks.clone());
+            feed(&input, &mut sinks);
+            let mut r = RecordingSink::with_sink(usize::MAX, fresh);
+            replay(&input, &mut r);
+            let (recording, through_recorder) = r.finish();
+            assert_eq!(recording.as_ref(), Some(&input));
+            let both = sinks
+                .into_inner()
+                .into_iter()
+                .chain(through_recorder.into_inner());
+            for (i, s) in both.enumerate() {
+                assert_eq!(s.into_events().expect("uncapped"), input, "sink {i} of {n}");
             }
         }
     }

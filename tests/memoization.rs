@@ -201,4 +201,20 @@ fn second_profile_of_same_spec_runs_zero_guest_simulation() {
         "the most recent stream must survive eviction"
     );
     assert_eq!(cache_stats().hits, stats10.hits + 1);
+
+    // Equal setups in one call run once: on M1 parts (no SMT) Fig. 1's
+    // per-hw-thread co-run is the per-core one. Neither is memoized on
+    // the cached stream yet, so one setup replays and both slots get its
+    // result.
+    let per_core = HostSetup::with_knobs(
+        &m1_pro(),
+        &SystemKnobs::parse("corun=per_core:8").expect("a valid co-run knob"),
+    );
+    let before = cache_stats();
+    let twice = profile(&budget[1], &[per_core.clone(), per_core]);
+    let after = cache_stats();
+    assert_eq!(after.hits, before.hits + 1);
+    assert_eq!(after.host_replays, before.host_replays + 1);
+    assert_eq!(after.host_memo_hits, before.host_memo_hits);
+    assert_eq!(twice.hosts[0], twice.hosts[1]);
 }
