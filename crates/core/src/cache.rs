@@ -172,6 +172,11 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.map.is_empty()
     }
 
+    /// The resident values, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|e| &e.value)
+    }
+
     /// Sum of the resident entries' weights.
     pub fn weight(&self) -> usize {
         self.weight

@@ -8,18 +8,22 @@
 //! host results memoized with the stream as they are and feed the
 //! recorded stream only to a batch of the setups not yet memoized,
 //! memoizing those too. Both paths hand one [`HostBatch`] per call the
-//! identical stream through [`hosttrace::record::feed`]; the batch runs
-//! each distinct host structure once and equals one `HostEngine` per
-//! setup, so results never depend on whether they were simulated,
-//! replayed or memoized, nor on the thread count.
+//! identical stream in 65,536-event chunks, each in a `host_engines`
+//! span: the live path through [`hosttrace::record::feed`], the cached
+//! path by decoding its encoded [`Stream`]. The batch runs each distinct
+//! host structure once and equals one `HostEngine` per setup, so results
+//! never depend on whether they were simulated, replayed or memoized,
+//! nor on the thread count. Figures that read only guest results call
+//! [`run_guest`], which runs no host model at all.
 
 use crate::runner::{self, CachedGuest, TRACE_CACHE_CAP};
 use gem5sim::config::{CpuModel, SimMode, SystemConfig};
 use gem5sim::observe::{CompClass, ExecutionObserver, Obs};
 use gem5sim::system::{SimResult, System};
+use gem5sim_isa::Program;
 use gem5sim_workloads::{Microbench, Scale, Workload};
 use hostmodel::{HostBatch, HostRunStats};
-use hosttrace::record::{feed, RecordingSink, TraceEvent, TraceSink};
+use hosttrace::record::{RecordingSink, Stream, TraceSink};
 use hosttrace::{BinaryVariant, CallProfile, PageBacking, Registry, TraceAdapter};
 use platforms::{Platform, SystemKnobs};
 use specgen::SpecBenchmark;
@@ -194,10 +198,10 @@ pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
             hosts_from_cache(&cached, hosts),
         ),
         None => {
-            let (result, profile, events, batch) = simulate(guest, batch(hosts), None);
+            let (result, profile, stream, batch) = simulate(guest, batch(hosts), None);
             let stats = finish(batch);
-            if let Some(events) = events {
-                let entry = CachedGuest::new(result.clone(), profile.clone(), events);
+            if let Some(stream) = stream {
+                let entry = CachedGuest::new(result.clone(), profile.clone(), stream);
                 for (h, s) in hosts.iter().zip(&stats) {
                     entry.remember(h, s);
                 }
@@ -227,7 +231,7 @@ fn hosts_from_cache(cached: &CachedGuest, hosts: &[HostSetup]) -> Vec<HostRunSta
         let todo_hosts: Vec<HostSetup> = todo.iter().map(|&i| hosts[i].clone()).collect();
         let mut batch = batch(&todo_hosts);
         runner::count_host_results(hosts.len() - todo.len(), batch.distinct_setups());
-        feed(&cached.events, &mut batch);
+        cached.stream.feed(&mut batch);
         for ((&i, h), s) in todo.iter().zip(&todo_hosts).zip(finish(batch)) {
             cached.remember(h, &s);
             stats[i] = Some(s);
@@ -256,28 +260,10 @@ fn batch(hosts: &[HostSetup]) -> HostBatch {
     )
 }
 
-/// Simulates `guest` once, feeding the adapter's output to `sink` (a
-/// [`HostBatch`] outside tests) chunk by chunk while recording it. Returns
-/// the guest results, the call profile, the recording if it has at most
-/// [`TRACE_CACHE_CAP`] events, and the fed sink. `work_scale` scales one
-/// component's host work (Sec. VI); such a stream is not the spec's, so
-/// it is never recorded.
-pub(crate) fn simulate<S: TraceSink + 'static>(
-    guest: &GuestSpec,
-    sink: S,
-    work_scale: Option<(CompClass, f32)>,
-) -> (SimResult, CallProfile, Option<Vec<TraceEvent>>, S) {
-    let cap = work_scale.map_or(TRACE_CACHE_CAP, |_| 0);
-    let mut adapter = TraceAdapter::new(
-        registry_for(BinaryVariant::Base, PageBacking::Base),
-        RecordingSink::with_sink(cap, sink),
-    );
-    if let Some((comp, factor)) = work_scale {
-        adapter.set_work_scale(comp, factor);
-    }
-    let adapter = Rc::new(RefCell::new(adapter));
-    let obs = Obs::new(Rc::clone(&adapter) as Rc<RefCell<dyn ExecutionObserver>>);
-
+/// The program and system configuration `guest` runs with: the one
+/// assembly both the observed path ([`simulate`]) and the bare one
+/// ([`run_guest`]) use, so the two cannot drift apart.
+fn guest_system(guest: &GuestSpec) -> (Program, SystemConfig) {
     let program = match guest.corun {
         Some(partner) => {
             let Workload::Micro(main) = guest.workload else {
@@ -302,6 +288,40 @@ pub(crate) fn simulate<S: TraceSink + 'static>(
                 .collect(),
         );
     }
+    (program, cfg)
+}
+
+/// Simulates `guest` with no observer: the guest results [`profile`]
+/// reports, without the trace adapter or a host engine. For figures that
+/// read only guest results; not memoized, as a bare run is cheap.
+pub fn run_guest(guest: &GuestSpec) -> SimResult {
+    let (program, cfg) = guest_system(guest);
+    let _sim = gem5prof_obs::span("guest_sim");
+    System::new(cfg, program).run()
+}
+
+/// Simulates `guest` once, feeding the adapter's output to `sink` (a
+/// [`HostBatch`] outside tests) chunk by chunk while recording it. Returns
+/// the guest results, the call profile, the recording if it has at most
+/// [`TRACE_CACHE_CAP`] events, and the fed sink. `work_scale` scales one
+/// component's host work (Sec. VI); such a stream is not the spec's, so
+/// it is never recorded.
+pub(crate) fn simulate<S: TraceSink + 'static>(
+    guest: &GuestSpec,
+    sink: S,
+    work_scale: Option<(CompClass, f32)>,
+) -> (SimResult, CallProfile, Option<Stream>, S) {
+    let cap = work_scale.map_or(TRACE_CACHE_CAP, |_| 0);
+    let mut adapter = TraceAdapter::new(
+        registry_for(BinaryVariant::Base, PageBacking::Base),
+        RecordingSink::with_sink(cap, sink),
+    );
+    if let Some((comp, factor)) = work_scale {
+        adapter.set_work_scale(comp, factor);
+    }
+    let adapter = Rc::new(RefCell::new(adapter));
+    let obs = Obs::new(Rc::clone(&adapter) as Rc<RefCell<dyn ExecutionObserver>>);
+    let (program, cfg) = guest_system(guest);
     let result = {
         let _sim = gem5prof_obs::span("guest_sim");
         System::with_observer(cfg, program, obs).run()
@@ -312,8 +332,8 @@ pub(crate) fn simulate<S: TraceSink + 'static>(
         .expect("system dropped; adapter is uniquely owned")
         .into_inner()
         .into_parts();
-    let (events, sink) = recorder.finish();
-    (result, profile, events, sink)
+    let (stream, sink) = recorder.finish();
+    (result, profile, stream, sink)
 }
 
 /// Profiles a bare-metal SPEC reference benchmark on several hosts.

@@ -8,21 +8,29 @@
 //! variant's deterministic guest checksum before its rate is reported.
 
 use super::Fidelity;
-use crate::experiment::{profile, GuestSpec, HostSetup};
+use crate::experiment::{run_guest, GuestSpec};
 use crate::report::Table;
 use crate::runner::parallel_map;
 use gem5sim::config::{CpuModel, SimMode};
 use gem5sim_workloads::{Microbench, Workload};
-use platforms::PlatformId;
+
+/// Fig. 16's guests, one per cell, variant-major.
+pub(crate) fn specs(f: Fidelity) -> Vec<GuestSpec> {
+    Microbench::ALL
+        .iter()
+        .flat_map(|&m| {
+            CpuModel::ALL
+                .iter()
+                .map(move |&cpu| GuestSpec::new(Workload::Micro(m), f.scale(), cpu, SimMode::Se))
+        })
+        .collect()
+}
 
 /// Regenerates Fig. 16: rows are microbenchmark variants, columns the
 /// four CPU models; values are guest MIPS (higher = the model charges
 /// fewer guest ticks per instruction).
 pub fn fig16(f: Fidelity) -> Table {
     let _span = gem5prof_obs::span("fig16");
-    let xeon = PlatformId::IntelXeon.platform();
-    let hosts = [HostSetup::platform(&xeon)];
-
     let columns: Vec<String> = CpuModel::ALL.iter().map(|c| c.label().into()).collect();
     let mut table = Table::new(
         "Fig. 16: guest MIPS per microbenchmark variant and CPU model",
@@ -30,23 +38,22 @@ pub fn fig16(f: Fidelity) -> Table {
     );
 
     // variant × model fans out across the thread pool; assembly below is
-    // in input order, so output is thread-count independent.
-    let work: Vec<(Microbench, CpuModel)> = Microbench::ALL
-        .iter()
-        .flat_map(|&m| CpuModel::ALL.iter().map(move |&c| (m, c)))
-        .collect();
-    let rates: Vec<f64> = parallel_map(&work, |&(m, cpu)| {
-        let spec = GuestSpec::new(Workload::Micro(m), f.scale(), cpu, SimMode::Se);
-        let run = profile(&spec, &hosts);
+    // in input order, so output is thread-count independent. Only guest
+    // results are read, so the guests run bare, with no host model.
+    let rates: Vec<f64> = parallel_map(&specs(f), |spec| {
+        let Workload::Micro(m) = spec.workload else {
+            unreachable!("Fig. 16 runs microbenchmarks only")
+        };
+        let guest = run_guest(spec);
         // Checksum guardrail: a wrong rate from a wrong execution is
         // worse than no figure at all.
         assert_eq!(
-            run.guest.guest_checksums.first().copied(),
+            guest.guest_checksums.first().copied(),
             Some(m.expected_checksum(f.scale())),
             "{m} under {} corrupted its guest checksum",
-            cpu.label()
+            spec.cpu.label()
         );
-        run.guest.committed_insts as f64 / run.guest.sim_seconds() / 1e6
+        guest.committed_insts as f64 / guest.sim_seconds() / 1e6
     });
 
     for (r, &m) in Microbench::ALL.iter().enumerate() {

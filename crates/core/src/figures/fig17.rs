@@ -9,16 +9,14 @@
 //! shared L2's capacity and thrash each other into DRAM, while
 //! ALU-bound pairs barely notice each other. The last row halves the
 //! odd harts' clock with a per-hart divider, the guest-side analogue of
-//! the host model's co-run scenarios ([`CorunScenario`]).
+//! the host model's co-run scenarios ([`hostmodel::CorunScenario`]).
 
 use super::Fidelity;
-use crate::experiment::{profile, GuestSpec, HostSetup};
+use crate::experiment::{run_guest, GuestSpec};
 use crate::report::Table;
 use crate::runner::parallel_map;
 use gem5sim::config::{CpuModel, SimMode};
 use gem5sim_workloads::{Microbench, Workload};
-use hostmodel::CorunScenario;
-use platforms::{PlatformId, SystemKnobs};
 
 /// Hart counts shown as columns.
 const HARTS: [usize; 3] = [1, 2, 4];
@@ -39,12 +37,25 @@ fn row_label(a: Microbench, b: Microbench, div: u64) -> String {
     }
 }
 
+/// Fig. 17's guests, row-major: each pair at every hart count.
+pub(crate) fn specs(f: Fidelity) -> Vec<GuestSpec> {
+    PAIRS
+        .iter()
+        .flat_map(|&(a, b, div)| {
+            HARTS.iter().map(move |&h| {
+                GuestSpec::new(Workload::Micro(a), f.scale(), CpuModel::Timing, SimMode::Se)
+                    .with_harts(h)
+                    .with_corun(b)
+                    .with_corun_div(div)
+            })
+        })
+        .collect()
+}
+
 /// Regenerates Fig. 17: guest-time slowdown of each co-run pair at 1/2/4
 /// harts, normalized per row to its 1-hart run (column `1-hart` ≡ 1).
 pub fn fig17(f: Fidelity) -> Table {
     let _span = gem5prof_obs::span("fig17");
-    let xeon = PlatformId::IntelXeon.platform();
-
     let columns: Vec<String> = HARTS.iter().map(|h| format!("{h}-hart")).collect();
     let mut table = Table::new(
         "Fig. 17: co-run slowdown vs harts (Timing CPU, shared L2)",
@@ -52,31 +63,24 @@ pub fn fig17(f: Fidelity) -> Table {
     );
 
     // pair × harts fans out across the thread pool; assembly below is in
-    // input order, so output is thread-count independent.
-    let work: Vec<((Microbench, Microbench, u64), usize)> = PAIRS
-        .iter()
-        .flat_map(|&p| HARTS.iter().map(move |&h| (p, h)))
-        .collect();
-    let secs: Vec<f64> = parallel_map(&work, |&((a, b, div), h)| {
-        // Mirror the guest co-run on the host side: one simulated hart
-        // maps to one gem5 process sharing the host uncore.
-        let knobs = SystemKnobs::new().with_corun(CorunScenario::for_harts(h as u64));
-        let hosts = [HostSetup::with_knobs(&xeon, &knobs)];
-        let spec = GuestSpec::new(Workload::Micro(a), f.scale(), CpuModel::Timing, SimMode::Se)
-            .with_harts(h)
-            .with_corun(b)
-            .with_corun_div(div);
-        let run = profile(&spec, &hosts);
-        for (i, &chk) in run.guest.guest_checksums.iter().enumerate() {
+    // input order, so output is thread-count independent. Only guest
+    // results are read, so the guests run bare, with no host model.
+    let secs: Vec<f64> = parallel_map(&specs(f), |spec| {
+        let (Workload::Micro(a), Some(b)) = (spec.workload, spec.corun) else {
+            unreachable!("Fig. 17 co-runs microbenchmarks only")
+        };
+        let guest = run_guest(spec);
+        for (i, &chk) in guest.guest_checksums.iter().enumerate() {
             let variant = if i % 2 == 0 { a } else { b };
             assert_eq!(
                 chk,
                 variant.expected_checksum(f.scale()),
-                "hart {i} ({variant}) of {} corrupted its checksum at {h} harts",
-                row_label(a, b, div)
+                "hart {i} ({variant}) of {} corrupted its checksum at {} harts",
+                row_label(a, b, spec.corun_div),
+                spec.harts
             );
         }
-        run.guest.sim_seconds()
+        guest.sim_seconds()
     });
 
     for (r, &(a, b, div)) in PAIRS.iter().enumerate() {

@@ -105,4 +105,54 @@ mod tests {
         assert_eq!(Fidelity::Quick.workloads().len(), 3);
         assert_eq!(Fidelity::Paper.workloads().len(), 9);
     }
+
+    /// A guest run bare must report exactly what its profile reports, for
+    /// every guest Figs. 16 and 17 run bare and for a sample of what
+    /// `POST /experiments` accepts, harts, co-run partners and clock
+    /// dividers included.
+    #[test]
+    fn bare_runs_match_profiled_guests() {
+        use crate::experiment::{profile, run_guest, GuestSpec, HostSetup};
+        use crate::spec::ALL_WORKLOADS;
+        use gem5sim::config::{CpuModel, SimMode};
+        use gem5sim_workloads::Microbench;
+
+        let mut specs = fig16::specs(Fidelity::Quick);
+        specs.extend(fig17::specs(Fidelity::Quick));
+        assert_eq!(specs.len(), 36);
+        let mut g = testkit::Gen::new(testkit::base_seed());
+        for k in 0..12 {
+            // Every even case is a microbenchmark, every fourth co-runs
+            // on more than one hart with a divided clock. At most four
+            // harts (the daemon takes eight) keeps the profiles short.
+            let workload = match k % 2 {
+                0 => Workload::Micro(*g.pick(&Microbench::ALL)),
+                _ => *g.pick(&ALL_WORKLOADS),
+            };
+            let paired = k % 4 == 0;
+            let mut spec = GuestSpec::new(
+                workload,
+                Scale::Test,
+                *g.pick(&CpuModel::ALL),
+                *g.pick(&[SimMode::Se, SimMode::Fs]),
+            )
+            .with_harts(g.usize_in(if paired { 2..5 } else { 1..5 }))
+            .with_corun_div(g.u64_in(if paired { 2..9 } else { 1..9 }));
+            if paired {
+                spec = spec.with_corun(*g.pick(&Microbench::ALL));
+            }
+            specs.push(spec);
+        }
+        let xeon = [HostSetup::platform(&platforms::intel_xeon())];
+        let differ: Vec<String> = crate::runner::parallel_map(&specs, |spec| {
+            (run_guest(spec) != profile(spec, &xeon).guest).then(|| format!("{spec:?}"))
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        assert!(
+            differ.is_empty(),
+            "bare and profiled guests differ: {differ:?}"
+        );
+    }
 }

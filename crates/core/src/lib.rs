@@ -10,11 +10,12 @@
 //!                  hosttrace::TraceAdapter (synthetic gem5 binary)
 //!                       │ host instruction stream
 //!                       ▼
-//!                  hosttrace::RecordingSink ──► trace cache (≤ 8 M events,
+//!                  hosttrace::RecordingSink ──► trace cache (≤ 8 M events as
+//!                       │                             │  encoded Streams, ~3 B each;
 //!                       │                             │  ≤ 16 memoized host results
 //!                       │                             │  per stream)
-//!                       │ record::feed               │ hit: record::feed, for
-//!                       ▼ (64 Ki-event chunks)       ▼ setups not memoized
+//!                       │ record::feed               │ hit: Stream::feed decodes,
+//!                       ▼ (64 Ki-event chunks)       ▼ for setups not memoized
 //!          hostmodel::HostBatch of N host platforms / knob settings
 //!                       (each distinct cache, TLB, DSB and predictor
 //!                        simulated once; per-setup Top-Down accounting)
@@ -50,7 +51,7 @@ pub mod runner;
 pub mod spec;
 
 pub use cache::{CacheSnapshot, LruCache};
-pub use experiment::{profile, profile_spec, GuestSpec, HostSetup, ProfileRun};
+pub use experiment::{profile, profile_spec, run_guest, GuestSpec, HostSetup, ProfileRun};
 pub use report::{geomean, Table};
 pub use runner::{
     exec_tier, parallel_map, set_exec_tier, set_threads, threads, with_exec_tier, with_threads,

@@ -30,7 +30,7 @@ use crate::experiment::{GuestSpec, HostSetup};
 use gem5sim::system::SimResult;
 use gem5sim::ExecTier;
 use hostmodel::HostRunStats;
-use hosttrace::record::TraceEvent;
+use hosttrace::record::Stream;
 use hosttrace::CallProfile;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -172,7 +172,8 @@ struct Range {
 /// from the front of its own range and, when empty, steals the upper
 /// half of the largest remaining victim range. Jobs here are coarse
 /// (whole guest simulations / host replays), so the per-pop lock is
-/// noise.
+/// noise. Ranges are split in list order, so list the heaviest items
+/// first.
 ///
 /// # Panics
 ///
@@ -303,10 +304,10 @@ pub(crate) struct CachedGuest {
     pub guest: SimResult,
     /// Host-function call profile accumulated by the adapter.
     pub profile: CallProfile,
-    /// The complete post-adapter event stream, replayable into any host
-    /// engine set.
-    pub events: Vec<TraceEvent>,
-    /// Host results already computed from `events`, oldest first; at most
+    /// The complete post-adapter event stream, encoded, replayable into
+    /// any host engine set.
+    pub stream: Stream,
+    /// Host results already computed from `stream`, oldest first; at most
     /// [`HOST_MEMO_CAP`]. They live and die with the stream.
     hosts: Mutex<Vec<(HostSetup, HostRunStats)>>,
 }
@@ -317,11 +318,11 @@ pub(crate) struct CachedGuest {
 pub const HOST_MEMO_CAP: usize = 16;
 
 impl CachedGuest {
-    pub fn new(guest: SimResult, profile: CallProfile, events: Vec<TraceEvent>) -> Self {
+    pub fn new(guest: SimResult, profile: CallProfile, stream: Stream) -> Self {
         CachedGuest {
             guest,
             profile,
-            events,
+            stream,
             hosts: Mutex::new(Vec::new()),
         }
     }
@@ -347,10 +348,11 @@ impl CachedGuest {
     }
 }
 
-/// Bound on the trace cache, in events (24 B per `TraceEvent`, so the
-/// cached streams together hold at most 192 MB). A stream longer than
-/// this reaches the host engines uncached; shorter ones are cached, and
-/// the least recently used are evicted once the total would pass it.
+/// Bound on the trace cache, in events. Streams are held encoded, at
+/// 3.1–3.4 B per event over the figure guests (3.13 over a figures pass,
+/// 3.40 after Fig. 1), so a full cache holds about 25–27 MB. A stream longer than this reaches the host
+/// engines uncached; shorter ones are cached, and the least recently
+/// used are evicted once the total would pass it.
 pub const TRACE_CACHE_CAP: usize = 8_000_000;
 
 /// Running totals for the trace cache, readable by tests and tools.
@@ -367,6 +369,8 @@ pub struct TraceCacheStats {
     /// Events currently resident across all cached streams (at most
     /// [`TRACE_CACHE_CAP`]).
     pub resident_events: u64,
+    /// Bytes the resident streams' encodings occupy.
+    pub resident_bytes: u64,
     /// Host results served from a memo: a cached stream's, or the SPEC
     /// reference profiles'.
     pub host_memo_hits: u64,
@@ -404,6 +408,12 @@ fn cache() -> MutexGuard<'static, LruCache<GuestSpec, Arc<CachedGuest>>> {
                 cache.weight() as f64,
             ));
             samples.push(Sample::plain(
+                "gem5prof_trace_cache_resident_bytes",
+                "bytes the cached guest streams' encodings occupy",
+                MetricKind::Gauge,
+                resident_bytes(&cache) as f64,
+            ));
+            samples.push(Sample::plain(
                 "gem5prof_trace_cache_host_memo_hits_total",
                 "host results served from a memo (a cached stream's or the SPEC profiles')",
                 MetricKind::Counter,
@@ -426,8 +436,12 @@ pub(crate) fn cache_lookup(spec: &GuestSpec) -> Option<Arc<CachedGuest>> {
 }
 
 pub(crate) fn cache_insert(spec: GuestSpec, entry: CachedGuest) {
-    let weight = entry.events.len();
+    let weight = entry.stream.len();
     cache().insert(spec, Arc::new(entry), weight);
+}
+
+fn resident_bytes(cache: &LruCache<GuestSpec, Arc<CachedGuest>>) -> usize {
+    cache.values().map(|e| e.stream.byte_len()).sum()
 }
 
 /// Current trace-cache counters.
@@ -440,6 +454,7 @@ pub fn cache_stats() -> TraceCacheStats {
         insertions: snap.insertions,
         evictions: snap.evictions,
         resident_events: cache.weight() as u64,
+        resident_bytes: resident_bytes(&cache) as u64,
         host_memo_hits: HOST_MEMO_HITS.load(Ordering::Relaxed),
         host_replays: HOST_REPLAYS.load(Ordering::Relaxed),
     }

@@ -14,7 +14,8 @@
 //! * [`record::ExecRecord`] / [`record::DataRef`] — the host instruction
 //!   stream: one record per host *function invocation*, consumed by the
 //!   `hostmodel` crate's microarchitecture model via [`record::TraceSink`],
-//!   in chunks handed out by [`record::feed`];
+//!   in chunks handed out by [`record::feed`]; a recorded stream is held
+//!   as a [`record::Stream`], encoded at about 3 bytes per event;
 //! * [`adapter::TraceAdapter`] — the bridge: it implements
 //!   [`gem5sim::ExecutionObserver`], translating every simulator handler
 //!   invocation into calls of the corresponding primary function plus a

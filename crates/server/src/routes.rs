@@ -932,6 +932,7 @@ fn stats_json(shared: &Shared) -> String {
                 ("misses", Json::Num(trace.misses as f64)),
                 ("insertions", Json::Num(trace.insertions as f64)),
                 ("resident_events", Json::Num(trace.resident_events as f64)),
+                ("resident_bytes", Json::Num(trace.resident_bytes as f64)),
                 ("host_memo_hits", Json::Num(trace.host_memo_hits as f64)),
                 ("host_replays", Json::Num(trace.host_replays as f64)),
             ]),

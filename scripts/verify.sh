@@ -123,6 +123,16 @@ if [ -z "$RESIDENT" ] || [ "$RESIDENT" -gt 8000000 ]; then
 fi
 echo "verify: trace cache holds $RESIDENT resident events (cap 8000000)"
 
+# Cached streams are held encoded, at about 3 bytes per event, so their
+# bytes must stay within 6 per resident event.
+RESIDENT_BYTES="$(target/release/servectl --addr "$ADDR" --timeout-ms 5000 metrics \
+    | awk '$1 == "gem5prof_trace_cache_resident_bytes" { print $2 }')"
+if [ -z "$RESIDENT_BYTES" ] || [ "$RESIDENT_BYTES" -gt $((6 * RESIDENT)) ]; then
+    echo "verify: trace cache holds ${RESIDENT_BYTES:-no} resident bytes for $RESIDENT events (limit 6 per event)" >&2
+    exit 1
+fi
+echo "verify: trace cache holds $RESIDENT_BYTES resident bytes for $RESIDENT events"
+
 # Host-result memo: fig02 and fig03 profile the same eight gem5 cases and
 # three SPEC references on Intel_Xeon, so fig03 must serve all eleven
 # host results from the memos (the one kept with each cached stream and
