@@ -54,10 +54,35 @@ impl Runner {
         self.bench_with(name, Budget::default(), f);
     }
 
+    /// Benchmarks `f` under `name` with the default budget, and also
+    /// reports the time per one of the `units` `unit`s each iteration
+    /// processes.
+    pub fn bench_per<R>(&mut self, name: &str, units: u64, unit: &str, f: impl FnMut() -> R) {
+        if let Some((min, mean)) = self.measure(name, Budget::default(), f) {
+            println!(
+                "{:<44} min {:>9.1} ns/{unit} mean {:>9.1} ns/{unit} ({units} {unit}s)",
+                "",
+                min.as_nanos() as f64 / units as f64,
+                mean.as_nanos() as f64 / units as f64,
+            );
+        }
+    }
+
     /// Benchmarks `f` under `name` with an explicit budget.
-    pub fn bench_with<R>(&mut self, name: &str, budget: Budget, mut f: impl FnMut() -> R) {
+    pub fn bench_with<R>(&mut self, name: &str, budget: Budget, f: impl FnMut() -> R) {
+        self.measure(name, budget, f);
+    }
+
+    /// Runs and reports `f` if `name` is selected; returns its min and
+    /// mean time per iteration.
+    fn measure<R>(
+        &mut self,
+        name: &str,
+        budget: Budget,
+        mut f: impl FnMut() -> R,
+    ) -> Option<(Duration, Duration)> {
         if !self.selected(name) {
-            return;
+            return None;
         }
         // One untimed warmup (fills caches, triggers lazy init).
         std::hint::black_box(f());
@@ -82,6 +107,7 @@ impl Runner {
             times.len()
         );
         self.ran += 1;
+        Some((min, mean))
     }
 
     /// Prints the trailer; call once after all benches are registered.

@@ -52,7 +52,7 @@ use crate::dsb::{Dsb, WINDOW};
 use crate::engine::{
     account_data_dtlb, account_data_miss, account_exec, account_icache, account_itlb,
     account_load_dtlb, account_mispredict, account_unknown_cond, account_unknown_indirect,
-    fill_latency, is_heap_load, local_load_addr, local_store_addr, Fetch, Fill, HostEngine,
+    fill_latency, is_heap_load, local_loads, local_stores, predict_cond, Fetch, Fill, HostEngine,
     Prefetcher,
 };
 use crate::stats::HostRunStats;
@@ -280,10 +280,8 @@ impl Nodes {
         o.locals.clear();
         for r in execs(events) {
             let fid = r.func.0 as u64;
-            o.locals
-                .extend((0..r.loads as u64).map(|j| local_load_addr(fid, j)));
-            o.locals
-                .extend((0..r.stores as u64).map(|j| local_store_addr(fid, j)));
+            o.locals.extend(local_loads(fid, r.loads));
+            o.locals.extend(local_stores(fid, r.stores));
         }
         for (n, out) in self.fetch.iter().zip(&mut o.fetch) {
             out.clear();
@@ -370,13 +368,9 @@ impl Nodes {
             let loop_reach = n.key.3;
             for (r, f) in execs(events).zip(&o.fetch[n.key.0]) {
                 let mut counts = [0u8; 3];
-                let n_cond = r.cond_branches as u64;
-                for j in 0..n_cond {
-                    let site = f.cond_site(j);
-                    let k = r.variant as u64 * n_cond + j;
-                    let (outcome, period) = HostEngine::branch_outcome(site, f.taken_rate, k);
-                    let loop_covered = period.is_some_and(|p| p <= loop_reach);
-                    match n.bp.cond_branch(site, outcome, loop_covered) {
+                let k0 = r.variant as u64 * r.cond_branches as u64;
+                for (k, site) in (k0..).zip(f.cond_sites(r.cond_branches)) {
+                    match predict_cond(&mut n.bp, site, f.taken_rate, k, loop_reach) {
                         (true, _) => counts[0] += 1,
                         (false, true) => counts[1] += 1,
                         (false, false) => {}

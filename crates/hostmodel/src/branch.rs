@@ -53,8 +53,21 @@ impl HostBranchPredictor {
     /// unknown-branch resteer (returned separately).
     #[inline]
     pub fn cond_branch(&mut self, site: u64, outcome: bool, loop_covered: bool) -> (bool, bool) {
+        self.cond_branch_hashed(site, hosttrace::mix64(site), outcome, loop_covered)
+    }
+
+    /// [`cond_branch`](Self::cond_branch) given the site's hash
+    /// `mix64(site)`, which indexes both the pattern table and the BTB.
+    #[inline]
+    pub(crate) fn cond_branch_hashed(
+        &mut self,
+        site: u64,
+        hash: u64,
+        outcome: bool,
+        loop_covered: bool,
+    ) -> (bool, bool) {
         self.cond_lookups += 1;
-        let idx = ((hosttrace::mix64(site) ^ self.history) & self.mask) as usize;
+        let idx = ((hash ^ self.history) & self.mask) as usize;
         let ctr = &mut self.table[idx];
         let predicted = *ctr >= 2;
         if outcome {
@@ -70,7 +83,7 @@ impl HostBranchPredictor {
         let mut unknown = false;
         if outcome && !mispredicted {
             // Correct-direction taken branch still needs a BTB target.
-            unknown = !self.btb_check(site, site ^ 0x5555);
+            unknown = !self.btb_check(site, hash, site ^ 0x5555);
             if unknown {
                 self.unknown_branches += 1;
             }
@@ -84,18 +97,18 @@ impl HostBranchPredictor {
     #[inline]
     pub fn indirect_branch(&mut self, site: u64, target: u64) -> bool {
         self.indirect_lookups += 1;
-        let unknown = !self.btb_check(site, target);
+        let unknown = !self.btb_check(site, hosttrace::mix64(site), target);
         if unknown {
             self.unknown_branches += 1;
         }
         unknown
     }
 
-    /// Checks and updates the BTB; returns `true` if `site → target`
-    /// was already present.
+    /// Checks and updates the BTB at the slot of `site`'s hash; returns
+    /// `true` if `site → target` was already present.
     #[inline]
-    fn btb_check(&mut self, site: u64, target: u64) -> bool {
-        let idx = (hosttrace::mix64(site) & self.btb_mask) as usize;
+    fn btb_check(&mut self, site: u64, hash: u64, target: u64) -> bool {
+        let idx = (hash & self.btb_mask) as usize;
         let hit = self.btb_tags[idx] == site && self.btb_targets[idx] == target;
         self.btb_tags[idx] = site;
         self.btb_targets[idx] = target;

@@ -95,7 +95,7 @@ impl HostCache {
     }
 
     /// Accesses `addr`; returns `true` on hit. Misses allocate.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
         if self.clock == u32::MAX {
@@ -104,21 +104,23 @@ impl HostCache {
         self.clock += 1;
         let (set, tag) = self.index.split(addr);
         let base = set * self.assoc;
-        let mut victim = base;
+        let tags = &mut self.tags[base..base + self.assoc];
+        let lru = &mut self.lru[base..base + self.assoc];
+        let mut victim = 0;
         let mut victim_lru = u32::MAX;
-        for i in base..base + self.assoc {
-            if self.tags[i] == tag {
-                self.lru[i] = self.clock;
+        for (i, (&t, &l)) in tags.iter().zip(lru.iter()).enumerate() {
+            if t == tag {
+                lru[i] = self.clock;
                 return true;
             }
-            if self.lru[i] < victim_lru {
-                victim_lru = self.lru[i];
+            if l < victim_lru {
+                victim_lru = l;
                 victim = i;
             }
         }
         self.misses += 1;
-        self.tags[victim] = tag;
-        self.lru[victim] = self.clock;
+        tags[victim] = tag;
+        lru[victim] = self.clock;
         false
     }
 

@@ -22,15 +22,25 @@ const STACK_BASE: u64 = 0x7FFF_F000_0000;
 /// state regions reported via [`DataRef`]s).
 const HEAP_BASE: u64 = 0x20_0000_0000;
 
-/// Host address of function `fid`'s `j`-th local load: mostly stack (hot,
-/// tiny), with every fourth load reaching the heap.
+/// Bytes of stack a function's locals rotate through.
+const STACK_SPAN: u64 = 10240;
+
+/// Host addresses of function `fid`'s first `n` local loads, in order:
+/// the `j`-th is mostly stack (hot, tiny) at `(fid * 968 + j * 64) %
+/// 10240`, with every fourth load reaching the heap. The stack offset
+/// steps by addition.
 #[inline]
-pub(crate) fn local_load_addr(fid: u64, j: u64) -> u64 {
-    if is_heap_load(j) {
-        HEAP_BASE + (mix2(fid, j) % (1_500_000 / 64)) * 64
-    } else {
-        STACK_BASE + (fid.wrapping_mul(968) + j * 64) % 10240
-    }
+pub(crate) fn local_loads(fid: u64, n: u8) -> impl Iterator<Item = u64> {
+    let mut off = fid.wrapping_mul(968) % STACK_SPAN;
+    (0..n as u64).map(move |j| {
+        let a = if is_heap_load(j) {
+            HEAP_BASE + (mix2(fid, j) % (1_500_000 / 64)) * 64
+        } else {
+            STACK_BASE + off
+        };
+        off = step(off, 64, STACK_SPAN);
+        a
+    })
 }
 
 /// Whether local load `j` reaches the heap (and so looks up the dTLB).
@@ -39,10 +49,27 @@ pub(crate) fn is_heap_load(j: u64) -> bool {
     j % 4 == 3
 }
 
-/// Host address of function `fid`'s `j`-th local store (stack).
+/// Host addresses of function `fid`'s first `n` local stores (stack), in
+/// order: the `j`-th at `(fid * 968 + 5120 + j * 64) % 10240`.
 #[inline]
-pub(crate) fn local_store_addr(fid: u64, j: u64) -> u64 {
-    STACK_BASE + (fid.wrapping_mul(968) + 5120 + j * 64) % 10240
+pub(crate) fn local_stores(fid: u64, n: u8) -> impl Iterator<Item = u64> {
+    let mut off = (fid.wrapping_mul(968) + 5120) % STACK_SPAN;
+    (0..n).map(move |_| {
+        let a = STACK_BASE + off;
+        off = step(off, 64, STACK_SPAN);
+        a
+    })
+}
+
+/// `(off + by) % m` for `off < m` and `by <= m`, without dividing.
+#[inline(always)]
+fn step(off: u64, by: u64, m: u64) -> u64 {
+    let next = off + by;
+    if next >= m {
+        next - m
+    } else {
+        next
+    }
 }
 
 /// The code one invocation fetches: its byte range `[start, end)` and
@@ -78,10 +105,18 @@ impl Fetch {
         }
     }
 
-    /// Site of the record's `j`-th conditional branch.
+    /// Sites of the record's first `n` conditional branches, in order:
+    /// the `j`-th at `(j * 24) % size.max(24)` past the region's first
+    /// 16 bytes, stepped by addition.
     #[inline]
-    pub(crate) fn cond_site(&self, j: u64) -> u64 {
-        self.site_base + 16 + (j * 24) % self.size.max(24)
+    pub(crate) fn cond_sites(&self, n: u8) -> impl Iterator<Item = u64> {
+        let (base, m) = (self.site_base + 16, self.size.max(24));
+        let mut off = 0;
+        (0..n).map(move |_| {
+            let site = base + off;
+            off = step(off, 24, m);
+            site
+        })
     }
 
     /// Site of the record's `j`-th indirect branch.
@@ -174,6 +209,41 @@ pub(crate) fn account_mispredict(td: &mut TopDown, cfg: &HostConfig) {
 #[inline]
 pub(crate) fn account_unknown_cond(td: &mut TopDown, cfg: &HostConfig) {
     td.fe_latency.unknown_branches += cfg.resteer_cycles as f64 * 0.6;
+}
+
+/// Predicts the record's conditional branch number `k` at `site` on `bp`:
+/// returns (mispredicted, unknown), as
+/// [`HostBranchPredictor::cond_branch`]. Loop-termination predictors
+/// (TAGE-style long history) capture periodic exits of up to
+/// `loop_reach`. The site's hash is computed once, for its outcome, its
+/// pattern-table index and its BTB slot.
+#[inline]
+pub(crate) fn predict_cond(
+    bp: &mut HostBranchPredictor,
+    site: u64,
+    taken_rate: u8,
+    k: u64,
+    loop_reach: u64,
+) -> (bool, bool) {
+    let hash = mix64(site);
+    let (outcome, period) = branch_outcome(site, hash, taken_rate, k);
+    let loop_covered = period.is_some_and(|p| p <= loop_reach);
+    bp.cond_branch_hashed(site, hash, outcome, loop_covered)
+}
+
+/// Generates the outcome of dynamic conditional branch number `k` at a
+/// site with the given taken bias and hash `mix64(site)`, returning
+/// `(outcome, period)`: well-biased sites behave like loop back-edges
+/// (periodic exits, `period = Some(..)`), low-bias sites are
+/// data-dependent (`period = None`).
+#[inline]
+fn branch_outcome(site: u64, hash: u64, taken_rate: u8, k: u64) -> (bool, Option<u64>) {
+    if taken_rate >= 86 {
+        let period = 64 + (taken_rate as u64 - 85) * 40 + (hash % 64);
+        ((k + site) % period != 0, Some(period))
+    } else {
+        ((mix2(site, k) % 100) < taken_rate as u64, None)
+    }
 }
 
 /// An indirect branch whose target the BTB missed.
@@ -361,21 +431,6 @@ impl HostEngine {
         }
     }
 
-    /// Generates the outcome of dynamic conditional branch number `k` at a
-    /// site with the given taken bias, returning `(outcome, period)`:
-    /// well-biased sites behave like loop back-edges (periodic exits,
-    /// `period = Some(..)`), low-bias sites are data-dependent
-    /// (`period = None`).
-    #[inline]
-    pub(crate) fn branch_outcome(site: u64, taken_rate: u8, k: u64) -> (bool, Option<u64>) {
-        if taken_rate >= 86 {
-            let period = 64 + (taken_rate as u64 - 85) * 40 + (mix64(site) % 64);
-            ((k + site) % period != 0, Some(period))
-        } else {
-            ((mix2(site, k) % 100) < taken_rate as u64, None)
-        }
-    }
-
     /// Consumes the engine and produces final statistics.
     pub fn finish(self) -> HostRunStats {
         let insts = self.uops as f64 / self.cfg.uops_per_inst;
@@ -458,15 +513,9 @@ impl TraceSink for HostEngine {
         };
 
         // --- Conditional branches. ---
-        let n_cond = r.cond_branches as u64;
-        for j in 0..n_cond {
-            let site = f.cond_site(j);
-            let k = r.variant as u64 * n_cond + j;
-            let (outcome, period) = Self::branch_outcome(site, f.taken_rate, k);
-            // Loop-termination predictors (TAGE-style long history)
-            // capture periodic exits up to the machine's reach.
-            let loop_covered = period.is_some_and(|p| p <= self.cfg.loop_reach);
-            match self.bp.cond_branch(site, outcome, loop_covered) {
+        let k0 = r.variant as u64 * r.cond_branches as u64;
+        for (k, site) in (k0..).zip(f.cond_sites(r.cond_branches)) {
+            match predict_cond(&mut self.bp, site, f.taken_rate, k, self.cfg.loop_reach) {
                 (true, _) => account_mispredict(&mut self.td, &self.cfg),
                 (false, true) => account_unknown_cond(&mut self.td, &self.cfg),
                 (false, false) => {}
@@ -493,9 +542,8 @@ impl TraceSink for HostEngine {
         //     is what pressures the dTLB without pressuring DRAM, as the
         //     paper observes. ---
         let fid = r.func.0 as u64;
-        for j in 0..r.loads as u64 {
-            let a = local_load_addr(fid, j);
-            if is_heap_load(j) {
+        for (j, a) in local_loads(fid, r.loads).enumerate() {
+            if is_heap_load(j as u64) {
                 let tlb = self.dtlb.access(a >> self.page_shift);
                 account_load_dtlb(&mut self.td.be_mem, &self.cfg, tlb);
             }
@@ -504,8 +552,7 @@ impl TraceSink for HostEngine {
                 account_data_miss(&mut self.td.be_mem, &self.cfg, fill, false, 1.0);
             }
         }
-        for j in 0..r.stores as u64 {
-            let a = local_store_addr(fid, j);
+        for a in local_stores(fid, r.stores) {
             if !self.l1d.access(a) {
                 let fill = self.fill(a & line_mask);
                 account_data_miss(&mut self.td.be_mem, &self.cfg, fill, true, 1.0);

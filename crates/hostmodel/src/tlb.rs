@@ -38,13 +38,15 @@ impl TlbLevel {
         }
     }
 
-    #[inline]
-    fn access(&mut self, page: u64) -> bool {
+    /// Looks up `page`, whose hash `mix64(page)` picks its set; returns
+    /// `true` on a hit. Misses fill.
+    #[inline(always)]
+    fn access(&mut self, page: u64, hash: u64) -> bool {
         if self.clock == u32::MAX {
             self.clock = renormalize(&mut self.lru, TLB_WAYS);
         }
         self.clock += 1;
-        let set = (hosttrace::mix64(page) & self.mask) as usize;
+        let set = (hash & self.mask) as usize;
         let base = set * TLB_WAYS;
         let mut victim = base;
         let mut victim_lru = u32::MAX;
@@ -89,16 +91,17 @@ impl HostTlb {
         }
     }
 
-    /// Translates `page`.
-    #[inline]
+    /// Translates `page`. Both levels index by one hash of it.
+    #[inline(always)]
     pub fn access(&mut self, page: u64) -> TlbResult {
         self.lookups += 1;
-        if self.l1.access(page) {
+        let hash = hosttrace::mix64(page);
+        if self.l1.access(page, hash) {
             return TlbResult::L1Hit;
         }
         self.l1_misses += 1;
         if let Some(stlb) = &mut self.stlb {
-            if stlb.access(page) {
+            if stlb.access(page, hash) {
                 return TlbResult::StlbHit;
             }
         }
@@ -146,14 +149,15 @@ mod tests {
         // One 4-way set; the clock wraps between the second and third fill.
         let mut t = TlbLevel::new(4);
         t.clock = u32::MAX - 2;
+        let mut access = |p: u64| t.access(p, hosttrace::mix64(p));
         for p in 0..4u64 {
-            t.access(p);
+            access(p);
         }
-        t.access(4); // must evict page 0, the least recently used
+        access(4); // must evict page 0, the least recently used
         for p in [2, 3, 1, 4] {
-            assert!(t.access(p), "page {p} was evicted");
+            assert!(access(p), "page {p} was evicted");
         }
-        assert!(!t.access(0));
+        assert!(!access(0));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use adapter::TraceAdapter;
 pub use layout::{PageBacking, TextLayout, HUGE_PAGE};
 pub use profile::CallProfile;
 pub use record::{DataRef, ExecRecord, FanoutSink, NullSink, TraceSink};
-pub use registry::{BinaryVariant, FuncMeta, FunctionId, Registry};
+pub use registry::{BinaryVariant, FuncMeta, FunctionId, Registry, Site};
 
 /// Deterministic 64-bit mixer used for all synthetic-but-stable decisions
 /// (helper selection, branch outcome streams, layout shuffling).
